@@ -17,6 +17,11 @@
 // the simulator's fractional-credit result count agree exactly with the
 // real engine's — checked here, asserted in tests/harness/.
 //
+// A batching-latency summary sets batch 64 against batch 1 (ots-b64 vs
+// ots-b1 p50, per query) against ROADMAP item 5's "within 2x" target: the
+// sources' kBatchLinger bound is what keeps a 64-element batch from
+// waiting for 63 more elements at 20k bids/s.
+//
 // Results go to stdout and BENCH_nexmark.json (override: --out <path>).
 
 #include <chrono>
@@ -297,6 +302,32 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   t.Print(std::cout);
 
+  struct BatchLatencyRow {
+    std::string query;
+    double b1_p50 = 0.0;
+    double b64_p50 = 0.0;
+    double ratio() const { return b64_p50 / b1_p50; }
+  };
+  std::vector<BatchLatencyRow> batch_rows;
+  for (Query q : queries) {
+    BatchLatencyRow row;
+    row.query = QueryName(q);
+    for (const BenchRow& r : rows) {
+      if (r.query != row.query) continue;
+      if (r.config == "ots-b1") row.b1_p50 = r.lat.Percentile(0.50);
+      if (r.config == "ots-b64") row.b64_p50 = r.lat.Percentile(0.50);
+    }
+    batch_rows.push_back(row);
+  }
+  std::cout << "\nbatching latency (ots-b64 p50 vs ots-b1 p50; target "
+               "within 2x):\n";
+  Table bt({"query", "b1_p50_us", "b64_p50_us", "ratio", "within_2x"});
+  for (const BatchLatencyRow& r : batch_rows) {
+    bt.AddRow({r.query, Table::Num(r.b1_p50, 0), Table::Num(r.b64_p50, 0),
+               Table::Num(r.ratio(), 2), r.ratio() <= 2.0 ? "yes" : "no"});
+  }
+  bt.Print(std::cout);
+
   std::cout << "\nsimulator (filter query, " << sim_n
             << " bids, measured selectivity -> exact survivor count "
             << sim_survivors << "):\n";
@@ -330,6 +361,15 @@ int main(int argc, char** argv) {
         << ", \"p999_us\": " << r.lat.Percentile(0.999)
         << ", \"max_us\": " << r.lat.max() << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n"
+      << "  \"batch_latency\": [\n";
+  for (size_t i = 0; i < batch_rows.size(); ++i) {
+    const BatchLatencyRow& r = batch_rows[i];
+    out << "    {\"query\": \"" << r.query << "\", \"b1_p50_us\": "
+        << r.b1_p50 << ", \"b64_p50_us\": " << r.b64_p50
+        << ", \"ratio\": " << r.ratio() << "}"
+        << (i + 1 < batch_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n"
       << "  \"simulator\": [\n";

@@ -24,7 +24,7 @@ std::string Micros(double us) {
 }  // namespace
 
 SloController::SloController(SloOptions options, MetricsProbe* probe,
-                             Actuator* actuator, ControlClock* clock)
+                             Actuator* actuator, Clock* clock)
     : options_(std::move(options)),
       probe_(probe),
       actuator_(actuator),

@@ -30,7 +30,7 @@
 // The controller is deliberately decoupled from the engine: it talks to a
 // MetricsProbe (what is the world doing) and an Actuator (pull this
 // lever), both abstract. src/control/engine_hooks.h binds them to a live
-// StreamEngine; tests and the simulator bind fakes and a VirtualControlClock.
+// StreamEngine; tests and the simulator bind fakes and a VirtualClock.
 // This header therefore includes nothing from api/ — stats/report.h can
 // include it for BuildControlTable without a cycle.
 
@@ -46,7 +46,6 @@
 #include <thread>
 #include <vector>
 
-#include "control/control_clock.h"
 #include "util/clock.h"
 #include "util/status.h"
 
@@ -152,10 +151,10 @@ struct ControlDecision {
 class SloController {
  public:
   /// `probe` and `actuator` must outlive the controller. `clock` may be
-  /// null (a SteadyControlClock is owned internally); pass a
-  /// VirtualControlClock to drive intervals in virtual time.
+  /// null (a RealClock is owned internally); pass a VirtualClock to
+  /// drive intervals in virtual time.
   SloController(SloOptions options, MetricsProbe* probe, Actuator* actuator,
-                ControlClock* clock = nullptr);
+                Clock* clock = nullptr);
   ~SloController();
 
   SloController(const SloController&) = delete;
@@ -198,8 +197,8 @@ class SloController {
   const SloOptions options_;
   MetricsProbe* const probe_;
   Actuator* const actuator_;
-  SteadyControlClock owned_clock_;
-  ControlClock* const clock_;
+  RealClock owned_clock_;
+  Clock* const clock_;
 
   mutable std::mutex mutex_;
   int64_t tick_ = 0;

@@ -5,15 +5,41 @@
 
 namespace flexstream {
 
+namespace {
+
+// The source the calling thread is replaying into (Source::BeginReplay).
+// Thread-local, so only the replaying thread bypasses the recovery gate.
+thread_local const Source* replaying_source = nullptr;
+
+}  // namespace
+
+const char* FlushReasonToString(FlushReason reason) {
+  switch (reason) {
+    case FlushReason::kFull:
+      return "full";
+    case FlushReason::kLinger:
+      return "linger";
+    case FlushReason::kBarrier:
+      return "barrier";
+    case FlushReason::kClose:
+      return "close";
+    case FlushReason::kSchemaDrift:
+      return "schema_drift";
+    case FlushReason::kOther:
+      return "other";
+  }
+  return "?";
+}
+
 Source::Source(std::string name)
     : Operator(Kind::kSource, std::move(name), /*input_arity=*/0) {}
 
 void Source::Push(const Tuple& tuple) {
-  ApplyRequestedBatchSize();
   if (epoch_interval_ != 0) {
     PushEpochs(tuple);
     return;
   }
+  ApplyRequestedBatchSize();
   DCHECK(tuple.is_data());
   DCHECK(!closed_by_driver_) << DebugString() << " pushed after Close";
   if (StatsCollectionEnabled()) {
@@ -21,24 +47,19 @@ void Source::Push(const Tuple& tuple) {
     stats().RecordProcessed(0.0);
   }
   if (emit_batch_size_ > 1) {
-    if (columnar_emit_) {
-      AppendPendingColumnar(tuple);
-      return;
-    }
-    pending_.PushBack(tuple);
-    if (pending_.size() >= emit_batch_size_) FlushPendingBatch();
+    Accumulate(tuple);
     return;
   }
   Emit(tuple);
 }
 
 void Source::Push(Tuple&& tuple) {
-  ApplyRequestedBatchSize();
   if (epoch_interval_ != 0) {
     // The epoch path copies into the replay buffer anyway; no move win.
     PushEpochs(tuple);
     return;
   }
+  ApplyRequestedBatchSize();
   DCHECK(tuple.is_data());
   DCHECK(!closed_by_driver_) << DebugString() << " pushed after Close";
   if (StatsCollectionEnabled()) {
@@ -46,21 +67,39 @@ void Source::Push(Tuple&& tuple) {
     stats().RecordProcessed(0.0);
   }
   if (emit_batch_size_ > 1) {
-    if (columnar_emit_) {
-      // Scattering copies the attribute payloads into the columns; the
-      // move-in tuple is simply dropped afterwards.
-      AppendPendingColumnar(tuple);
-      return;
-    }
-    pending_.PushBack(std::move(tuple));
-    if (pending_.size() >= emit_batch_size_) FlushPendingBatch();
+    Accumulate(std::move(tuple));
     return;
   }
   EmitMove(std::move(tuple));
 }
 
+template <typename T>
+void Source::Accumulate(T&& tuple) {
+  if (columnar_emit_) {
+    // Scattering copies the attribute payloads into the columns; a
+    // move-in tuple is simply dropped afterwards.
+    AppendPendingColumnar(tuple);
+    return;
+  }
+  pending_.PushBack(std::forward<T>(tuple));
+  OnAppended(pending_.size());
+}
+
+void Source::OnAppended(size_t pending) {
+  if (pending == 1) {
+    batch_start_ = LingerNow();
+  } else if (pending >= emit_batch_size_) {
+    // A batch that filled within the bound lets the next one skip the
+    // per-push clock reads: at this rate it fills before it could linger.
+    linger_watch_ = LingerNow() - batch_start_ >= kBatchLinger;
+    FlushPendingBatch(FlushReason::kFull);
+  } else if (linger_watch_ && LingerNow() - batch_start_ >= kBatchLinger) {
+    FlushPendingBatch(FlushReason::kLinger);
+  }
+}
+
 void Source::SetEmitBatchSize(size_t batch_size) {
-  FlushPendingBatch();
+  FlushPendingBatch(FlushReason::kOther);
   emit_batch_size_ = batch_size == 0 ? 1 : batch_size;
   // Keep the cross-thread request in sync so a stale earlier request
   // cannot resurrect an old size at the next Push.
@@ -70,20 +109,22 @@ void Source::SetEmitBatchSize(size_t batch_size) {
   if (emit_batch_size_ > 1) pending_.reserve(emit_batch_size_);
 }
 
-void Source::FlushPendingBatch() {
+void Source::FlushPendingBatch(FlushReason reason) {
   if (!pending_.empty()) {
     TupleBatch batch = std::move(pending_);
     pending_.clear();  // normalize the moved-from state
     // Steady state: re-reserve the hint so the next fill costs exactly one
     // allocation (the growth-policy satellite; see tests/batch_alloc_test).
     if (emit_batch_size_ > 1) pending_.reserve(emit_batch_size_);
+    CountFlush(reason);
     EmitBatch(std::move(batch));
   }
-  FlushPendingColumnar();
+  FlushPendingColumnar(reason);
 }
 
-void Source::FlushPendingColumnar() {
+void Source::FlushPendingColumnar(FlushReason reason) {
   if (pending_col_ == nullptr || pending_col_->empty()) return;
+  CountFlush(reason);
   EmitColumnar(std::move(pending_col_));
 }
 
@@ -100,17 +141,17 @@ void Source::AppendPendingColumnar(const Tuple& tuple) {
   if (!pending_col_->AppendTuple(tuple)) {
     // Schema drift mid-stream: flush what accumulated and restart under
     // the element's own schema.
-    FlushPendingColumnar();
+    FlushPendingColumnar(FlushReason::kSchemaDrift);
     batch_schema_ = MakeSchema(Schema::InferFrom(tuple).types());
     pending_col_ = columnar::AcquireBatch(batch_schema_);
     const bool ok = pending_col_->AppendTuple(tuple);
     DCHECK(ok);
   }
-  if (pending_col_->size() >= emit_batch_size_) FlushPendingColumnar();
+  OnAppended(pending_col_->size());
 }
 
 void Source::SetColumnarEmit(bool enabled) {
-  FlushPendingBatch();
+  FlushPendingBatch(FlushReason::kOther);
   columnar_emit_ = enabled;
 }
 
@@ -128,7 +169,6 @@ void Source::PushColumnar(ColumnarBatchPtr batch) {
     columnar::ReleaseBatch(std::move(batch));
     return;
   }
-  ApplyRequestedBatchSize();
   if (epoch_interval_ != 0) {
     // The epoch/replay machinery (observer records, barrier counting,
     // resume skip) is per-element: unbundle onto the exact Push path.
@@ -136,43 +176,50 @@ void Source::PushColumnar(ColumnarBatchPtr batch) {
     for (Tuple& tuple : rows) Push(std::move(tuple));
     return;
   }
+  ApplyRequestedBatchSize();
   DCHECK(!closed_by_driver_) << DebugString() << " pushed after Close";
   if (StatsCollectionEnabled()) {
     stats().RecordArrivalBatch(Now(), static_cast<int64_t>(batch->size()));
     stats().RecordProcessedBatch(0.0, static_cast<int64_t>(batch->size()));
   }
-  FlushPendingBatch();  // anything accumulated earlier goes first
+  // Anything accumulated earlier goes first.
+  FlushPendingBatch(FlushReason::kOther);
   EmitColumnar(std::move(batch));
 }
+
+bool Source::replaying() const { return replaying_source == this; }
+
+void Source::BeginReplay() { replaying_source = this; }
+
+void Source::EndReplay() { replaying_source = nullptr; }
 
 void Source::PushEpochs(const Tuple& tuple) {
   // The gate stalls live pushes while recovery rewinds/replays; replayed
   // pushes come from the thread already holding it exclusively.
+  const bool replaying = this->replaying();
   std::shared_lock<std::shared_mutex> gate_lock;
-  if (gate_ != nullptr && !replaying_) {
+  if (gate_ != nullptr && !replaying) {
     gate_lock = std::shared_lock<std::shared_mutex>(*gate_);
   }
+  // Under the gate: a resize applied mid-recovery would flush into the
+  // graph being restored.
+  ApplyRequestedBatchSize();
   DCHECK(tuple.is_data());
   DCHECK(!closed_by_driver_) << DebugString() << " pushed after Close";
-  if (resume_skip_ > 0 && !replaying_) {
+  if (resume_skip_ > 0 && !replaying) {
     // Cold-restart prefix: already reflected in the restored state.
     --resume_skip_;
     return;
   }
   // Record before emitting: if a failure poisons the graph mid-emit, the
   // element is already in the replay buffer.
-  if (observer_ != nullptr && !replaying_) observer_->OnPush(tuple, next_epoch_);
+  if (observer_ != nullptr && !replaying) observer_->OnPush(tuple, next_epoch_);
   if (StatsCollectionEnabled()) {
     stats().RecordArrival(Now());
     stats().RecordProcessed(0.0);
   }
   if (emit_batch_size_ > 1) {
-    if (columnar_emit_) {
-      AppendPendingColumnar(tuple);
-    } else {
-      pending_.PushBack(tuple);
-      if (pending_.size() >= emit_batch_size_) FlushPendingBatch();
-    }
+    Accumulate(tuple);
   } else {
     Emit(tuple);
   }
@@ -181,7 +228,7 @@ void Source::PushEpochs(const Tuple& tuple) {
     // to the committed boundary, so replayed elements re-cross the same
     // epoch boundaries at the same positions. Any accumulating batch is
     // flushed first — a batch never straddles a barrier.
-    FlushPendingBatch();
+    FlushPendingBatch(FlushReason::kBarrier);
     EmitBarrier(Tuple::EpochBarrier(next_epoch_));
     ++next_epoch_;
     pushed_in_epoch_ = 0;
@@ -189,14 +236,15 @@ void Source::PushEpochs(const Tuple& tuple) {
 }
 
 void Source::Close(AppTime timestamp) {
+  const bool replaying = this->replaying();
   std::shared_lock<std::shared_mutex> gate_lock;
-  if (epoch_interval_ != 0 && gate_ != nullptr && !replaying_) {
+  if (epoch_interval_ != 0 && gate_ != nullptr && !replaying) {
     gate_lock = std::shared_lock<std::shared_mutex>(*gate_);
   }
   if (closed_by_driver_) return;
   closed_by_driver_ = true;
-  if (observer_ != nullptr && !replaying_) observer_->OnClose(timestamp);
-  FlushPendingBatch();
+  if (observer_ != nullptr && !replaying) observer_->OnClose(timestamp);
+  FlushPendingBatch(FlushReason::kClose);
   EmitEos(timestamp);
 }
 
@@ -208,7 +256,6 @@ void Source::ArmEpochs(uint64_t interval, PushObserver* observer,
   next_epoch_ = 1;
   pushed_in_epoch_ = 0;
   resume_skip_ = 0;
-  replaying_ = false;
 }
 
 void Source::DisarmEpochs() {
@@ -218,7 +265,6 @@ void Source::DisarmEpochs() {
   next_epoch_ = 1;
   pushed_in_epoch_ = 0;
   resume_skip_ = 0;
-  replaying_ = false;
 }
 
 void Source::RewindTo(uint64_t epoch) {
@@ -233,6 +279,7 @@ void Source::Reset() {
   pending_.clear();
   columnar::ReleaseBatch(std::move(pending_col_));
   pending_col_.reset();
+  linger_watch_ = false;
 }
 
 void Source::Process(const Tuple& tuple, int port) {

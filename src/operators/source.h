@@ -10,6 +10,7 @@
 #ifndef FLEXSTREAM_OPERATORS_SOURCE_H_
 #define FLEXSTREAM_OPERATORS_SOURCE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <shared_mutex>
@@ -18,8 +19,26 @@
 
 #include "operators/operator.h"
 #include "tuple/columnar_batch.h"
+#include "util/clock.h"
 
 namespace flexstream {
+
+/// Longest a partial batch waits for more elements: the first Push after
+/// the pending batch has waited this long emits it (DESIGN.md §11).
+inline constexpr Duration kBatchLinger = std::chrono::microseconds(100);
+
+/// Why a source emitted its pending batch (Source::flushes).
+enum class FlushReason {
+  kFull,         // reached the emit batch size
+  kLinger,       // waited kBatchLinger
+  kBarrier,      // ahead of an epoch barrier
+  kClose,        // ahead of the end-of-stream punctuation
+  kSchemaDrift,  // columnar: an element stopped matching the batch schema
+  kOther,        // batch size / representation change, or ahead of a
+                 // PushColumnar batch
+};
+inline constexpr int kFlushReasonCount = 6;
+const char* FlushReasonToString(FlushReason reason);
 
 /// Base class for sources: exposes Push/Close so external drivers can
 /// inject elements.
@@ -48,7 +67,8 @@ class Source : public Operator {
 
   /// Delivers one data element downstream (in the calling thread). With an
   /// emit batch size > 1, the element is accumulated instead and delivered
-  /// as part of the next TupleBatch (DESIGN.md §11).
+  /// as part of the next TupleBatch (DESIGN.md §11): once the batch is
+  /// full, or at the first Push after it has waited kBatchLinger.
   void Push(const Tuple& tuple);
 
   /// Move-aware Push: the element's payload is moved downstream (into the
@@ -61,9 +81,10 @@ class Source : public Operator {
 
   /// Batch accumulation (EngineOptions::emit_batch_size): sizes > 1 make
   /// Push collect elements into a TupleBatch and emit it downstream once
-  /// full. Pending elements are flushed before every epoch barrier, before
-  /// Close's EOS, and by this call itself — batches never straddle a
-  /// punctuation. 0 is treated as 1 (per-tuple delivery, the default).
+  /// full, or once it has lingered kBatchLinger. Pending elements are
+  /// flushed before every epoch barrier, before Close's EOS, and by this
+  /// call itself — batches never straddle a punctuation. 0 is treated as 1
+  /// (per-tuple delivery, the default).
   /// Engine-configured; call from the driving thread or while quiescent.
   void SetEmitBatchSize(size_t batch_size);
   size_t emit_batch_size() const { return emit_batch_size_; }
@@ -89,6 +110,20 @@ class Source : public Operator {
   /// driving thread or while quiescent.
   void SetColumnarEmit(bool enabled);
   bool columnar_emit() const { return columnar_emit_; }
+
+  /// Substitutes the time source of the linger bound (nullptr, the
+  /// default, reads the steady clock). The clock is read only from the
+  /// pushing thread: when a batch starts and when it fills, plus on every
+  /// push while the previous batch filled slower than kBatchLinger.
+  /// Call while quiescent.
+  void SetLingerClock(Clock* clock) { linger_clock_ = clock; }
+
+  /// Batches emitted for `reason` so far (any thread; cumulative across
+  /// Reset, so a recovered run counts its replayed flushes too).
+  int64_t flushes(FlushReason reason) const {
+    return flush_counts_[static_cast<size_t>(reason)].load(
+        std::memory_order_relaxed);
+  }
 
   /// Declares the attribute types this source will push — the graph-build-
   /// time anchor of schema propagation (StreamEngine::Configure walks it
@@ -139,12 +174,14 @@ class Source : public Operator {
   void SetResumeSkip(uint64_t n) { resume_skip_ = n; }
   uint64_t resume_skip() const { return resume_skip_; }
 
-  /// Replay bracket: between BeginReplay and EndReplay, Push/Close bypass
-  /// both the gate (the recovery thread holds it exclusively — retaking it
-  /// would self-deadlock) and the observer (replayed elements are already
-  /// buffered).
-  void BeginReplay() { replaying_ = true; }
-  void EndReplay() { replaying_ = false; }
+  /// Replay bracket, called by the replaying thread: between BeginReplay
+  /// and EndReplay, Push/Close *from that thread* bypass both the gate (it
+  /// holds the gate exclusively — retaking it would self-deadlock) and the
+  /// observer (replayed elements are already buffered). A Push/Close from
+  /// any other thread — a live driver racing the recovery — still takes
+  /// the gate, so it waits until the sources resume.
+  void BeginReplay();
+  void EndReplay();
 
   void Reset() override;
 
@@ -153,12 +190,28 @@ class Source : public Operator {
 
  private:
   void PushEpochs(const Tuple& tuple);
+  /// True while this thread replays into this source (BeginReplay).
+  bool replaying() const;
+  /// Adds one element to the pending batch (row-wise or columnar).
+  template <typename T>
+  void Accumulate(T&& tuple);
+  /// Linger bookkeeping after an append left `pending` elements: stamps a
+  /// new batch's start and emits the batch when full or lingered.
+  void OnAppended(size_t pending);
+  TimePoint LingerNow() {
+    return linger_clock_ != nullptr ? linger_clock_->Now() : Now();
+  }
   /// Emits the accumulated batch — row-wise or columnar — downstream.
-  void FlushPendingBatch();
+  void FlushPendingBatch(FlushReason reason);
   /// Scatters one element into the pending columnar batch (creating it
-  /// from the pool on first use), flushing when full or on schema change.
+  /// from the pool on first use), flushing first on schema change.
   void AppendPendingColumnar(const Tuple& tuple);
-  void FlushPendingColumnar();
+  void FlushPendingColumnar(FlushReason reason);
+  void CountFlush(FlushReason reason) {
+    std::atomic<int64_t>& count = flush_counts_[static_cast<size_t>(reason)];
+    count.store(count.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+  }
   /// Driving-thread check for a pending RequestEmitBatchSize; applies it
   /// (flush + switch) when one differs from the current size. One relaxed
   /// load on the push path.
@@ -182,6 +235,16 @@ class Source : public Operator {
   SchemaPtr declared_schema_;  // user declaration (DeclareOutputSchema)
   SchemaPtr batch_schema_;     // working schema of the current batches
 
+  // Linger bound (driving-thread only). The clock is read when a batch
+  // starts and when it fills; only while the last full batch took longer
+  // than kBatchLinger (linger_watch_) is it also read on every push.
+  Clock* linger_clock_ = nullptr;
+  TimePoint batch_start_{};
+  bool linger_watch_ = false;
+  // Written by the pushing thread (or the replaying thread, under the
+  // gate); read by stats reports on any thread.
+  std::array<std::atomic<int64_t>, kFlushReasonCount> flush_counts_{};
+
   // Epoch/replay state. Touched by the (single) driving thread and, with
   // the gate held exclusively, by the recovery thread.
   uint64_t epoch_interval_ = 0;
@@ -190,7 +253,6 @@ class Source : public Operator {
   uint64_t resume_skip_ = 0;
   PushObserver* observer_ = nullptr;
   std::shared_mutex* gate_ = nullptr;
-  bool replaying_ = false;
 };
 
 /// A source over a pre-materialized vector of tuples; PushAll() replays

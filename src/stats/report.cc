@@ -9,6 +9,7 @@
 #include "graph/query_graph.h"
 #include "operators/latency_sink.h"
 #include "operators/operator.h"
+#include "operators/source.h"
 #include "queue/queue_op.h"
 #include "recovery/recovery_manager.h"
 
@@ -40,6 +41,29 @@ Table BuildStatsTable(const QueryGraph& graph) {
               std::isfinite(d) ? Table::Num(d, 1) : std::string("inf"),
               Table::Num(s.BusyMicros() / 1000.0, 1), queue_now,
               queue_peak, dropped, retries});
+  }
+  return t;
+}
+
+Table BuildSourceFlushTable(const QueryGraph& graph) {
+  std::vector<std::string> headers = {"source", "batches"};
+  for (int r = 0; r < kFlushReasonCount; ++r) {
+    headers.push_back(FlushReasonToString(static_cast<FlushReason>(r)));
+  }
+  Table t(headers);
+  for (const Node* node : graph.nodes()) {
+    const auto* source = dynamic_cast<const Source*>(node);
+    if (source == nullptr) continue;
+    std::vector<std::string> row = {source->name(), ""};
+    int64_t batches = 0;
+    for (int r = 0; r < kFlushReasonCount; ++r) {
+      const int64_t n = source->flushes(static_cast<FlushReason>(r));
+      batches += n;
+      row.push_back(Table::Int(n));
+    }
+    if (batches == 0) continue;
+    row[1] = Table::Int(batches);
+    t.AddRow(row);
   }
   return t;
 }
@@ -232,6 +256,11 @@ Table BuildControlTable(const std::vector<ControlDecision>& decisions) {
 std::string StatsReport(const QueryGraph& graph) {
   std::ostringstream os;
   BuildStatsTable(graph).Print(os);
+  Table flushes = BuildSourceFlushTable(graph);
+  if (flushes.row_count() > 0) {
+    os << "\n";
+    flushes.Print(os);
+  }
   Table shards = BuildShardTable(graph);
   if (shards.row_count() > 0) {
     os << "\n";

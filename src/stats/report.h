@@ -26,6 +26,13 @@ class RecoveryManager;
 /// policy; every operator also reports transient-fault retries absorbed.
 Table BuildStatsTable(const QueryGraph& graph);
 
+/// Source batch flushes by cause, one row per source that emitted a batch:
+/// total batches, then the count per FlushReason (full, linger, barrier,
+/// close, schema_drift, other). Linger flushes are partial batches cut by
+/// the kBatchLinger bound — the latency side of batching. Empty (headers
+/// only) when no source batches (emit_batch_size 1).
+Table BuildSourceFlushTable(const QueryGraph& graph);
+
 /// Overload/failure counters, one row per *bounded* queue: policy, budget,
 /// dropped-newest/oldest, kBlock waits and timed-out (overrun) waits.
 /// Empty (headers only) when no queue is bounded. Same Table type as

@@ -19,7 +19,9 @@
 #include "operators/map_op.h"
 #include "operators/selection.h"
 #include "sched/strategy.h"
+#include "util/clock.h"
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace flexstream {
 namespace {
@@ -97,6 +99,26 @@ EngineOptions EngineOptionsForConfig(const DiffConfig& config) {
   }
   return options;
 }
+
+/// The ragged-batch axis's linger clock: every read advances 1 us, and
+/// one read in four jumps past kBatchLinger. A source whose batch spans a
+/// jump looks slow, so it checks the bound on every push until a batch
+/// fills jump-free; the jumps then cut partial batches at seeded random
+/// positions.
+class RaggedLingerClock : public Clock {
+ public:
+  explicit RaggedLingerClock(uint64_t seed) : rng_(seed) {}
+
+  TimePoint Now() override {
+    now_ += std::chrono::microseconds(1);
+    if (rng_.Bernoulli(0.25)) now_ += kBatchLinger;
+    return now_;
+  }
+
+ private:
+  Rng rng_;
+  TimePoint now_{};
+};
 
 ChaosOptions ChaosOptionsForConfig(const DiffConfig& config) {
   ChaosOptions chaos;
@@ -211,6 +233,7 @@ std::string DiffConfig::Name() const {
   if (watchdog) os << "+watchdog";
   if (emit_batch_size > 1) os << "+batch" << emit_batch_size;
   if (columnar) os << "+col";
+  if (ragged_batches) os << "+ragged";
   if (shard_count > 0) {
     os << "+shard" << shard_count << (shard_unordered ? "u" : "o");
     if (kill_shard_replica >= 0) os << "+killrep" << kill_shard_replica;
@@ -351,6 +374,20 @@ std::vector<DiffConfig> DefaultConfigMatrix() {
   add_col(ExecutionMode::kGts, QueuePathMode::kAuto, 2, false, 64);
   add_col(ExecutionMode::kOts, QueuePathMode::kAuto, kRing, false, 64);
   add_col(ExecutionMode::kGts, QueuePathMode::kAuto, kRing, true, 64);
+
+  // Ragged-batch axis: a fake linger clock cuts partial batches at random
+  // positions, row-wise and columnar, under every scheduled architecture.
+  for (ExecutionMode mode :
+       {ExecutionMode::kGts, ExecutionMode::kOts, ExecutionMode::kHmts}) {
+    for (bool columnar : {false, true}) {
+      DiffConfig config;
+      config.mode = mode;
+      config.emit_batch_size = 8;
+      config.columnar = columnar;
+      config.ragged_batches = true;
+      configs.push_back(config);
+    }
+  }
 
   // Elastic control axis: the SLO controller escalates/de-escalates
   // rungs 1-2 live throughout the run. kHmts exercises real thread-pool
@@ -520,6 +557,18 @@ std::vector<DiffConfig> RecoveryConfigMatrix(const std::string& kill_operator,
     config.emit_batch_size = 8;
     config.columnar = true;
   }
+  // Ragged batches + kill/revive: linger flushes cut batches at random
+  // positions, including during the replay, which must still restore the
+  // exact committed prefix.
+  for (ExecutionMode mode :
+       {ExecutionMode::kGts, ExecutionMode::kOts, ExecutionMode::kHmts}) {
+    for (bool columnar : {false, true}) {
+      DiffConfig& config = add(mode, StrategyKind::kFifo);
+      config.emit_batch_size = 8;
+      config.columnar = columnar;
+      config.ragged_batches = true;
+    }
+  }
   return configs;
 }
 
@@ -667,6 +716,7 @@ SinkOutputs RunWithColdRestarts(const DiffSpec& spec,
       << "cold_restarts requires checkpointing";
   CHECK(config.shard_count == 0) << "cold_restarts x shard not supported";
   CHECK(!config.chaos_enabled()) << "cold_restarts x op chaos not supported";
+  CHECK(!config.ragged_batches) << "cold_restarts x ragged not supported";
 
   const std::string dir = MakeScenarioCheckpointDir();
   // One faulty env spans every incarnation so cumulative budgets (ENOSPC)
@@ -787,6 +837,14 @@ SinkOutputs RunUnderConfig(const DiffSpec& spec, const DiffConfig& config) {
     }
   }
 
+  std::vector<std::unique_ptr<RaggedLingerClock>> ragged_clocks;
+  if (config.ragged_batches) {
+    for (size_t i = 0; i < dag.sources.size(); ++i) {
+      ragged_clocks.push_back(
+          std::make_unique<RaggedLingerClock>(config.chaos_seed + i));
+      dag.sources[i]->SetLingerClock(ragged_clocks.back().get());
+    }
+  }
   StreamEngine engine(dag.graph.get());
   CHECK_OK(engine.Configure(EngineOptionsForConfig(config)));
   if (config.fault != QueueOp::TestFault::kNone) {
@@ -857,6 +915,9 @@ SinkOutputs RunUnderConfig(const DiffSpec& spec, const DiffConfig& config) {
     if (const Operator* op = dynamic_cast<const Operator*>(node)) {
       out.fault_retries += op->fault_retries();
     }
+  }
+  for (const Source* source : dag.sources) {
+    out.linger_flushes += source->flushes(FlushReason::kLinger);
   }
   chaos.Disarm();
   for (CollectingSink* sink : dag.sinks) {
@@ -1057,6 +1118,7 @@ std::string FormatReplay(const DiffSpec& spec, const DiffConfig& config) {
      << "watchdog=" << (config.watchdog ? 1 : 0) << "\n"
      << "emit_batch_size=" << config.emit_batch_size << "\n"
      << "columnar=" << (config.columnar ? 1 : 0) << "\n"
+     << "ragged_batches=" << (config.ragged_batches ? 1 : 0) << "\n"
      << "shard_count=" << config.shard_count << "\n"
      << "shard_unordered=" << (config.shard_unordered ? 1 : 0) << "\n"
      << "kill_shard_replica=" << config.kill_shard_replica << "\n"
@@ -1151,6 +1213,8 @@ bool ParseReplay(const std::string& text, DiffSpec* spec, DiffConfig* config,
         config->emit_batch_size = std::stoull(value);
       } else if (key == "columnar") {
         config->columnar = std::stoi(value) != 0;
+      } else if (key == "ragged_batches") {
+        config->ragged_batches = std::stoi(value) != 0;
       } else if (key == "shard_count") {
         config->shard_count = std::stoi(value);
       } else if (key == "shard_unordered") {

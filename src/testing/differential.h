@@ -99,6 +99,14 @@ struct DiffConfig {
   /// path — columnar changes representation, never semantics.
   bool columnar = false;
 
+  /// Ragged batches: each source's linger bound (kBatchLinger) reads a
+  /// seeded fake clock (seed chaos_seed + source index) that jumps past the
+  /// bound at random reads, so sources flush partial batches at random
+  /// positions. Batch boundaries are delivery granularity, never
+  /// semantics: results must stay byte-identical. Meaningful only with
+  /// emit_batch_size > 1; not supported with cold_restarts.
+  bool ragged_batches = false;
+
   // -- Checkpoint/recovery dimensions (ISSUE 4) ---------------------------
 
   /// Elements per source between epoch barriers; 0 disables checkpointing.
@@ -186,7 +194,8 @@ DiffConfig GoldenConfig();
 /// SPSC-ring vs forced-MPSC queue paths, a tiny-ring spillover variant,
 /// burst arrival, and the HMTS placement algorithms; plus single-threaded
 /// kDirect; plus the batch-delivery axis (emit_batch_size in {8, 64})
-/// crossed with the queue-path variants. ~35 configurations.
+/// crossed with the queue-path variants, the columnar axis, and the
+/// ragged-batch axis ({GTS, OTS, HMTS} x {row, columnar}).
 std::vector<DiffConfig> DefaultConfigMatrix();
 
 /// Per-sink outputs of one run, in sink construction order.
@@ -209,6 +218,8 @@ struct SinkOutputs {
   int recoveries = 0;
   uint64_t committed_epoch = 0;
   int64_t replayed_elements = 0;
+  /// Partial batches the sources emitted on the linger bound.
+  int64_t linger_flushes = 0;
 };
 
 /// Builds the spec's graph and runs it to completion under `config`.
@@ -235,7 +246,8 @@ std::vector<DiffConfig> ChaosConfigMatrix();
 /// the CollectingSink truncate-on-restore gives exact epoch+sequence
 /// dedup, so no relaxed compare is needed. Covers {GTS, OTS, HMTS} x
 /// {FIFO, Chain}, kDirect, the forced-MPSC queue path, bounded kBlock
-/// queues, and a double-kill variant. All queues stay unbounded or
+/// queues, a double-kill variant, batch delivery (row and columnar), and
+/// the ragged-batch axis ({GTS, OTS, HMTS} x {row, columnar}). All queues stay unbounded or
 /// kBlock so nothing is shed and the exact oracle applies.
 std::vector<DiffConfig> RecoveryConfigMatrix(const std::string& kill_operator,
                                              int64_t kill_after);

@@ -51,6 +51,35 @@ inline Duration FromSecondsD(double seconds) {
       std::chrono::duration<double>(seconds));
 }
 
+/// Injectable time source, for code whose timing decisions must be
+/// testable in virtual time: the SLO controller's hysteresis (DESIGN.md
+/// §15) and a source's batch linger bound (DESIGN.md §11). Production uses
+/// RealClock, a thin shim over Now(); tests use VirtualClock or their own
+/// scripted subclass (e.g. one that counts reads).
+class Clock {
+ public:
+  virtual ~Clock() = default;
+  virtual TimePoint Now() = 0;
+};
+
+/// The production clock: real steady time.
+class RealClock : public Clock {
+ public:
+  TimePoint Now() override { return flexstream::Now(); }
+};
+
+/// Deterministic test clock. Starts at the steady-clock epoch and only
+/// moves when told to. Not thread-safe: advance it from the thread that
+/// reads it (virtual-time tests are single-threaded by construction).
+class VirtualClock : public Clock {
+ public:
+  TimePoint Now() override { return now_; }
+  void Advance(Duration d) { now_ += d; }
+
+ private:
+  TimePoint now_{};
+};
+
 /// Sleeps until the given deadline. Short remaining waits spin to keep
 /// rate-controlled sources accurate at high rates.
 void SleepUntil(TimePoint deadline);

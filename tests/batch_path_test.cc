@@ -1,5 +1,5 @@
 // Batch execution path (DESIGN.md §11): TupleBatch semantics, source-side
-// accumulation, batch-native operator overrides, the per-tuple fallback,
+// accumulation and its linger bound, batch-native operator overrides, the per-tuple fallback,
 // move behaviour of owned payloads, queue batch delivery ordering across
 // all three internal paths, and epoch alignment with batching enabled.
 
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "operators/source.h"
 #include "operators/union_op.h"
 #include "queue/queue_op.h"
+#include "util/clock.h"
 
 namespace flexstream {
 namespace {
@@ -118,6 +120,119 @@ TEST(BatchPathTest, BatchSizeOneKeepsPerTuplePath) {
   EXPECT_TRUE(rec->batch_sizes.empty());
   EXPECT_EQ(rec->singles, 5);
   EXPECT_EQ(sink->size(), 5u);
+}
+
+// -- Linger bound (kBatchLinger) --------------------------------------------
+
+/// Scripted linger clock: every read advances virtual time by `step` and is
+/// counted, so a test can bound the reads per batch.
+class CountingClock : public Clock {
+ public:
+  TimePoint Now() override {
+    ++reads;
+    now += step;
+    return now;
+  }
+  int64_t reads = 0;
+  Duration step{};
+  TimePoint now{};
+};
+
+struct LingerRig {
+  QueryGraph g;
+  Source* src = g.Add<Source>("s");
+  RecordingOp* rec = g.Add<RecordingOp>("rec");
+  CollectingSink* sink = g.Add<CollectingSink>("out");
+
+  LingerRig(size_t batch_size, Clock* clock) {
+    EXPECT_TRUE(g.Connect(src, rec).ok());
+    EXPECT_TRUE(g.Connect(rec, sink).ok());
+    src->SetEmitBatchSize(batch_size);
+    src->SetLingerClock(clock);
+  }
+};
+
+TEST(SourceLingerTest, SlowSourceFlushesAtTheBoundOnItsNextPush) {
+  VirtualClock clock;
+  LingerRig rig(4, &clock);
+  Source* src = rig.src;
+  // 60 us apart, the first batch takes 180 us to fill: it is still
+  // emitted full, and marks the source as slow.
+  for (int i = 0; i < 4; ++i) {
+    src->Push(Tuple::OfInt(i, i));
+    clock.Advance(std::chrono::microseconds(60));
+  }
+  EXPECT_EQ(rig.rec->batch_sizes, (std::vector<size_t>{4}));
+
+  src->Push(Tuple::OfInt(4, 4));
+  clock.Advance(std::chrono::microseconds(50));
+  src->Push(Tuple::OfInt(5, 5));
+  clock.Advance(std::chrono::microseconds(60));
+  EXPECT_EQ(rig.rec->batch_sizes, (std::vector<size_t>{4}))
+      << "a lingering batch waits for the next push";
+  src->Push(Tuple::OfInt(6, 6));  // 110 us after the batch started
+  EXPECT_EQ(rig.rec->batch_sizes, (std::vector<size_t>{4, 3}))
+      << "the first push past the bound emits the batch, itself included";
+  EXPECT_EQ(src->flushes(FlushReason::kLinger), 1);
+  EXPECT_EQ(src->flushes(FlushReason::kFull), 1);
+
+  src->Close(7);
+  EXPECT_EQ(rig.rec->batch_sizes, (std::vector<size_t>{4, 3}));
+  EXPECT_EQ(src->flushes(FlushReason::kClose), 0) << "nothing was pending";
+  const std::vector<Tuple> results = rig.sink->TakeResults();
+  ASSERT_EQ(results.size(), 7u);
+  for (int i = 0; i < 7; ++i) EXPECT_EQ(results[i].IntAt(0), i);
+}
+
+TEST(SourceLingerTest, FastSourceReadsTheClockTwicePerFullBatch) {
+  CountingClock clock;
+  clock.step = std::chrono::microseconds(1);
+  LingerRig rig(64, &clock);
+  for (int i = 0; i < 640; ++i) rig.src->Push(Tuple::OfInt(i, i));
+  EXPECT_EQ(rig.rec->batch_sizes, std::vector<size_t>(10, 64));
+  EXPECT_EQ(clock.reads, 20) << "one read when a batch starts, one when full";
+  EXPECT_EQ(rig.src->flushes(FlushReason::kFull), 10);
+  EXPECT_EQ(rig.src->flushes(FlushReason::kLinger), 0);
+}
+
+TEST(SourceLingerTest, WatchEndsOnceABatchFillsWithinTheBound) {
+  CountingClock clock;
+  clock.step = std::chrono::microseconds(200);
+  LingerRig rig(4, &clock);
+  Source* src = rig.src;
+  for (int i = 0; i < 4; ++i) src->Push(Tuple::OfInt(i, i));
+  EXPECT_EQ(clock.reads, 2);  // 200 us between start and full: now slow
+  clock.step = std::chrono::microseconds(1);
+  for (int i = 4; i < 8; ++i) src->Push(Tuple::OfInt(i, i));
+  EXPECT_EQ(clock.reads, 6) << "a watched batch reads on every push";
+  for (int i = 8; i < 12; ++i) src->Push(Tuple::OfInt(i, i));
+  EXPECT_EQ(clock.reads, 8) << "filled within the bound: back to two reads";
+  EXPECT_EQ(rig.rec->batch_sizes, (std::vector<size_t>{4, 4, 4}));
+  EXPECT_EQ(src->flushes(FlushReason::kLinger), 0);
+}
+
+TEST(SourceLingerTest, BarrierAndCloseFlushesAreUnchanged) {
+  VirtualClock clock;  // never advances: no batch can linger
+  LingerRig rig(4, &clock);
+  Source* src = rig.src;
+  std::shared_mutex gate;
+  src->ArmEpochs(6, /*observer=*/nullptr, &gate);
+  // Barriers after elements 6 and 12 cut the batch each time: {4, 2},
+  // {4, 2}, then Close flushes {2}. (After the first barrier the recorder
+  // holds alignment state and unbundles batches, so the counters tell.)
+  for (int i = 0; i < 6; ++i) src->Push(Tuple::OfInt(i, i));
+  EXPECT_EQ(rig.rec->batch_sizes, (std::vector<size_t>{4, 2}));
+  for (int i = 6; i < 14; ++i) src->Push(Tuple::OfInt(i, i));
+  EXPECT_EQ(rig.sink->size(), 12u) << "two elements pending";
+  src->Close(14);
+  EXPECT_TRUE(rig.sink->closed());
+  EXPECT_EQ(src->flushes(FlushReason::kFull), 2);
+  EXPECT_EQ(src->flushes(FlushReason::kBarrier), 2);
+  EXPECT_EQ(src->flushes(FlushReason::kClose), 1);
+  EXPECT_EQ(src->flushes(FlushReason::kLinger), 0);
+  const std::vector<Tuple> results = rig.sink->TakeResults();
+  ASSERT_EQ(results.size(), 14u);
+  for (int i = 0; i < 14; ++i) EXPECT_EQ(results[i].IntAt(0), i);
 }
 
 // -- Batch-native operators match per-tuple execution -----------------------

@@ -24,9 +24,11 @@
 #include "operators/symmetric_hash_join.h"
 #include "operators/tumbling_aggregate.h"
 #include "queue/queue_op.h"
+#include "stats/report.h"
 #include "tuple/batch_pool.h"
 #include "tuple/columnar_batch.h"
 #include "tuple/schema.h"
+#include "util/clock.h"
 
 namespace flexstream {
 namespace {
@@ -113,6 +115,44 @@ TEST(ColumnarSourceTest, SchemaDriftFlushesAndRestartsUnderNewSchema) {
   EXPECT_EQ(results[1].IntAt(0), 1);
   EXPECT_EQ(results[2].StringAt(0), "drift");
   EXPECT_EQ(results[3].StringAt(0), "more");
+}
+
+TEST(ColumnarSourceTest, LingerAndDriftFlushesAreCounted) {
+  QueryGraph g;
+  Source* src = g.Add<Source>("s");
+  ColumnarRecordingOp* rec = g.Add<ColumnarRecordingOp>("rec");
+  CollectingSink* sink = g.Add<CollectingSink>("out");
+  ASSERT_TRUE(g.Connect(src, rec).ok());
+  ASSERT_TRUE(g.Connect(rec, sink).ok());
+  VirtualClock clock;
+  src->SetLingerClock(&clock);
+  src->SetEmitBatchSize(4);
+  src->SetColumnarEmit(true);
+
+  // A slow first batch (60 us apart) marks the source for linger checks.
+  for (int i = 0; i < 4; ++i) {
+    src->Push(Tuple::OfInt(i, i));
+    clock.Advance(std::chrono::microseconds(60));
+  }
+  src->Push(Tuple::OfInt(4, 4));
+  clock.Advance(std::chrono::microseconds(100));
+  src->Push(Tuple::OfInt(5, 5));  // lingered: {4, 5} goes out
+  src->Push(Tuple::OfInt(6, 6));
+  src->Push(Tuple({Value("drift")}, 7));  // type change: {6} goes out
+  src->Close(8);                          // {"drift"} goes out
+  EXPECT_EQ(rec->columnar_sizes, (std::vector<size_t>{4, 2, 1, 1}));
+  EXPECT_EQ(src->flushes(FlushReason::kFull), 1);
+  EXPECT_EQ(src->flushes(FlushReason::kLinger), 1);
+  EXPECT_EQ(src->flushes(FlushReason::kSchemaDrift), 1);
+  EXPECT_EQ(src->flushes(FlushReason::kClose), 1);
+  const std::vector<Tuple> results = sink->TakeResults();
+  ASSERT_EQ(results.size(), 8u);
+  for (int i = 0; i < 7; ++i) EXPECT_EQ(results[i].IntAt(0), i);
+  EXPECT_EQ(results[7].StringAt(0), "drift");
+
+  const std::string report = StatsReport(g);
+  EXPECT_NE(report.find("linger"), std::string::npos)
+      << "the stats report breaks source flushes down by cause";
 }
 
 TEST(ColumnarSourceTest, NonNativeOperatorMaterializesAtTheDoor) {
@@ -384,6 +424,11 @@ TEST(ColumnarEngineTest, PoolRecyclesBatchesInSteadyState) {
   options.emit_batch_size = 64;
   options.columnar = true;
   ASSERT_TRUE(engine.Configure(options).ok());
+  // Each chunk must be exactly one full batch. A frozen linger clock keeps
+  // a slow (sanitized) feed from cutting a chunk on the linger bound, which
+  // would leave its tail pending until the next push.
+  VirtualClock linger_clock;
+  p.src->SetLingerClock(&linger_clock);
   ASSERT_TRUE(engine.Start().ok());
   int64_t fed = 0;
   size_t expected = 0;

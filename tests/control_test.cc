@@ -7,7 +7,7 @@
 // SwitchTo/ResizeShard refusals, and the state-carrying live reshard.
 //
 // All ladder-property tests drive control intervals through a
-// VirtualControlClock — no sleeps, fully deterministic.
+// VirtualClock — no sleeps, fully deterministic.
 //
 // Runs under the `check-control` CMake target
 // (ctest -R "SloController|ControlLadder|ControlTable|ControlReshard|EngineActuation|SwitchToRefusal|ResizeShardRefusal|ControlSim").
@@ -25,7 +25,6 @@
 #include "api/query_builder.h"
 #include "api/shard.h"
 #include "api/stream_engine.h"
-#include "control/control_clock.h"
 #include "control/engine_hooks.h"
 #include "control/slo_controller.h"
 #include "graph/query_graph.h"
@@ -35,6 +34,7 @@
 #include "sim/simulator.h"
 #include "stats/report.h"
 #include "tuple/tuple.h"
+#include "util/clock.h"
 
 namespace flexstream {
 namespace {
@@ -118,7 +118,7 @@ SloOptions LadderOptions() {
 struct LadderRig {
   FakeProbe probe;
   FakeActuator actuator;
-  VirtualControlClock clock;
+  VirtualClock clock;
   SloController controller;
 
   explicit LadderRig(const SloOptions& options)
@@ -451,7 +451,7 @@ std::vector<std::string> RunControllerOverTrace(
   o.allow_shedding = false;  // capacity rungs only
   FakeProbe probe;
   FakeActuator actuator;
-  VirtualControlClock clock;
+  VirtualClock clock;
   SloController controller(o, &probe, &actuator, &clock);
   int burst_rung = 0;
   for (const ControlMetrics& m : trace) {
@@ -640,7 +640,7 @@ TEST(EngineActuationTest, ControllerDrivesRealEngineEndToEnd) {
   slo.base_batch_size = 1;
   slo.max_batch_size = 4;
   slo.allow_shedding = false;
-  VirtualControlClock clock;
+  VirtualClock clock;
   SloController controller(slo, &probe, &actuator, &clock);
 
   const TimePoint epoch = Now();

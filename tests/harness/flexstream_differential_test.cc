@@ -172,6 +172,27 @@ TEST(DifferentialMutationTest, ReportShrinksAndDumpsArtifacts) {
   EXPECT_EQ(replay_config.Name(), failure.config.Name());
 }
 
+// -- Ragged batches ---------------------------------------------------------
+
+// The ragged-batch axis must actually cut batches on the linger bound —
+// a fake clock that never fires would make its identity check vacuous.
+TEST(DifferentialRaggedTest, LingerFlushesCutBatchesAndResultsHold) {
+  DiffSpec spec;
+  spec.seed = 11;
+  const SinkOutputs golden = RunUnderConfig(spec, GoldenConfig());
+  int ragged = 0;
+  for (const DiffConfig& config : DefaultConfigMatrix()) {
+    if (!config.ragged_batches) continue;
+    SCOPED_TRACE(config.Name());
+    ++ragged;
+    const SinkOutputs out = RunUnderConfig(spec, config);
+    EXPECT_GT(out.linger_flushes, 0);
+    const std::string diff = CompareOutputs(golden, out);
+    EXPECT_TRUE(diff.empty()) << diff;
+  }
+  EXPECT_EQ(ragged, 6) << "{GTS, OTS, HMTS} x {row, columnar}";
+}
+
 // -- Replay files -----------------------------------------------------------
 
 TEST(DifferentialReplayTest, FormatParseRoundTrip) {
@@ -191,6 +212,7 @@ TEST(DifferentialReplayTest, FormatParseRoundTrip) {
   config.feed_before_start = true;
   config.fault = QueueOp::TestFault::kReorderDrainBatch;
   config.emit_batch_size = 64;
+  config.ragged_batches = true;
 
   DiffSpec parsed_spec;
   DiffConfig parsed_config;
@@ -213,6 +235,7 @@ TEST(DifferentialReplayTest, FormatParseRoundTrip) {
   EXPECT_EQ(parsed_config.feed_before_start, config.feed_before_start);
   EXPECT_EQ(parsed_config.fault, config.fault);
   EXPECT_EQ(parsed_config.emit_batch_size, config.emit_batch_size);
+  EXPECT_EQ(parsed_config.ragged_batches, config.ragged_batches);
   EXPECT_EQ(parsed_config.Name(), config.Name());
 }
 

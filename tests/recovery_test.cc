@@ -5,9 +5,13 @@
 // Runs under the `check-recovery` CMake target (ctest -R "Recovery").
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +24,7 @@
 #include "operators/sink.h"
 #include "operators/source.h"
 #include "operators/symmetric_hash_join.h"
+#include "recovery/recovery_manager.h"
 #include "recovery/replay_buffer.h"
 #include "recovery/state_snapshot.h"
 #include "stats/report.h"
@@ -192,6 +197,69 @@ TEST(StatefulOperatorTest, WindowedAggregateRoundTrips) {
 }
 
 // -- End-to-end engine recovery ------------------------------------------
+
+/// Pass-through that runs `hook` once, in the delivering thread, on the
+/// first element after it is set.
+class HookOp : public Operator {
+ public:
+  explicit HookOp(std::string name)
+      : Operator(Kind::kOperator, std::move(name), 1) {}
+  std::function<void()> hook;
+
+ protected:
+  void Process(const Tuple& tuple, int) override {
+    if (hook) std::exchange(hook, nullptr)();
+    Emit(tuple);
+  }
+};
+
+TEST(RecoveryReplayRaceTest, LivePushDuringReplayWaitsForResume) {
+  QueryGraph graph;
+  Source* src = graph.Add<Source>("src");
+  HookOp* hook_op = graph.Add<HookOp>("hook");
+  CollectingSink* sink = graph.Add<CollectingSink>("sink");
+  ASSERT_TRUE(graph.Connect(src, hook_op).ok());
+  ASSERT_TRUE(graph.Connect(hook_op, sink).ok());
+  RecoveryManager::Options options;
+  options.epoch_interval = 1000;  // no commit: replay re-pushes everything
+  RecoveryManager recovery(options);
+  ASSERT_TRUE(recovery.Arm(&graph).ok());
+  const int kPushed = 10;
+  for (int i = 0; i < kPushed; ++i) src->Push(Tuple::OfInt(i, i + 1));
+
+  // On the first replayed element — replay has begun, in this thread — a
+  // live driver pushes the next element. It must wait at the gate until
+  // ResumeSources; a push that bypassed the gate returns within the wait.
+  std::atomic<bool> live_returned{false};
+  bool returned_during_replay = false;
+  std::thread live;
+  hook_op->hook = [&] {
+    live = std::thread([&] {
+      src->Push(Tuple::OfInt(kPushed, kPushed + 1));
+      live_returned.store(true);
+    });
+    const TimePoint deadline = Now() + std::chrono::milliseconds(200);
+    while (!live_returned.load() && Now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    returned_during_replay = live_returned.load();
+  };
+  recovery.PauseSources();
+  recovery.RestoreCommittedState();
+  recovery.ReplaySources();
+  ASSERT_TRUE(live.joinable()) << "replay never reached the hook";
+  EXPECT_FALSE(returned_during_replay)
+      << "a live Push ran during replay, bypassing the recovery gate";
+  recovery.ResumeSources();
+  live.join();
+  src->Close(kPushed + 1);
+
+  const std::vector<Tuple> results = sink->TakeResults();
+  ASSERT_EQ(results.size(), static_cast<size_t>(kPushed + 1));
+  for (int i = 0; i <= kPushed; ++i) EXPECT_EQ(results[i].IntAt(0), i);
+  EXPECT_EQ(recovery.replay_depth(), static_cast<size_t>(kPushed + 1))
+      << "the live push was recorded for replay";
+}
 
 struct Pipeline {
   std::unique_ptr<QueryGraph> graph;
