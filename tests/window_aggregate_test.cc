@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
+#include <type_traits>
 
 #include "graph/query_graph.h"
 #include "operators/aggregate.h"
@@ -154,10 +156,19 @@ TEST(WindowedAggregateTest, ResetClearsState) {
 // Property test: randomized streams against a brute-force oracle, swept
 // over aggregate kinds and window lengths.
 struct AggCase {
+  AggCase(AggregateKind k, AppTime w, uint64_t s)
+      : kind(k), window(w), seed(s) {}
   AggregateKind kind;
+  // gtest prints the raw bytes of each case into the test's name. Fill
+  // the gap after `kind` explicitly so no uninitialised padding (stack
+  // garbage) leaks into the names and they stay the same across builds.
+  uint32_t filler = 0;
   AppTime window;
   uint64_t seed;
 };
+static_assert(sizeof(AggregateKind) == sizeof(uint32_t));
+static_assert(std::has_unique_object_representations_v<AggCase>,
+              "AggCase must have no padding bytes");
 
 class AggregateOracleTest : public ::testing::TestWithParam<AggCase> {};
 
