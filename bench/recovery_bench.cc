@@ -13,18 +13,27 @@
 //   kill_recover   : checkpointing on, the selection operator is killed
 //                    mid-run by the chaos injector; the engine recovers
 //                    from the last committed epoch and the run completes.
+// The two healthy scenarios run on three delivery axes — per-tuple, row
+// batch64 and columnar batch64 — because checkpointing must not switch the
+// batch paths off: its overhead is reported per axis, against that axis's
+// own checkpoint_off baseline.
 //
-// Reported: median wall time over the reps for the two healthy scenarios
-// (overhead_pct = on vs off), and for the kill run the engine's measured
-// pause->restore->replay->resume latency plus replay accounting. Results
-// go to stdout and BENCH_recovery.json (override with --out <path>).
+// Reported: per axis, median wall time over the reps (with min and max)
+// for the healthy scenarios and overhead_pct = on vs off; for the kill run
+// (per-tuple) the engine's measured pause->restore->replay->resume latency
+// plus replay accounting. Results go to stdout and BENCH_recovery.json
+// (override with --out <path>) together with their provenance: git sha,
+// core count, compiler and build type.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/query_builder.h"
@@ -48,7 +57,7 @@ namespace {
 
 const int64_t kFeedPerSource = bench::SmokeScaled<int64_t>(50'000, 10'000);
 constexpr uint64_t kEpochInterval = 100;
-const int kReps = bench::SmokeScaled(5, 2);
+const int kReps = bench::SmokeScaled(11, 2);
 constexpr auto kWait = std::chrono::seconds(120);
 
 struct Pipeline {
@@ -84,11 +93,26 @@ struct HealthyResult {
   uint64_t epochs_committed = 0;
 };
 
-HealthyResult RunHealthy(uint64_t epoch_interval) {
+/// One delivery configuration of the healthy scenarios.
+struct Axis {
+  const char* name;
+  size_t emit_batch_size;
+  bool columnar;
+};
+
+constexpr std::array<Axis, 3> kAxes = {{
+    {"per_tuple", 1, false},
+    {"batch64", 64, false},
+    {"columnar", 64, true},
+}};
+
+HealthyResult RunHealthy(const Axis& axis, uint64_t epoch_interval) {
   Pipeline p = BuildPipeline();
   StreamEngine engine(p.graph.get());
   EngineOptions options;
   options.mode = ExecutionMode::kGts;
+  options.emit_batch_size = axis.emit_batch_size;
+  options.columnar = axis.columnar;
   options.checkpoint_epoch_interval = epoch_interval;
   CHECK_OK(engine.Configure(options));
 
@@ -154,6 +178,44 @@ double Median(std::vector<double> xs) {
   return xs[xs.size() / 2];
 }
 
+/// Median with the spread of the reps it summarizes.
+struct Summary {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Summary Summarize(const std::vector<double>& xs) {
+  return {Median(xs), *std::min_element(xs.begin(), xs.end()),
+          *std::max_element(xs.begin(), xs.end())};
+}
+
+std::string GitSha() {
+  // "-dirty" marks a measurement of uncommitted changes on top of HEAD.
+  std::string sha;
+  if (FILE* pipe = popen("git describe --always --dirty --abbrev=40 2>/dev/null", "r")) {
+    char buf[128] = {};
+    if (fgets(buf, sizeof(buf), pipe) != nullptr) sha = buf;
+    pclose(pipe);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "unavailable" : sha;
+}
+
+#if defined(__clang__)
+constexpr char kCompiler[] = "clang " __clang_version__;
+#else
+constexpr char kCompiler[] = "GNU " __VERSION__;
+#endif
+
+std::string JsonSummary(const Summary& s) {
+  return "{\"median\": " + std::to_string(s.median) +
+         ", \"min\": " + std::to_string(s.min) +
+         ", \"max\": " + std::to_string(s.max) + "}";
+}
+
 }  // namespace
 }  // namespace flexstream
 
@@ -166,39 +228,59 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<uint64_t> intervals = {kEpochInterval, 10 * kEpochInterval};
-  std::vector<double> off_secs;
-  std::vector<std::vector<double>> on_secs(intervals.size());
-  std::vector<uint64_t> epochs_committed(intervals.size(), 0);
+  struct AxisResult {
+    std::vector<double> off_secs;
+    std::vector<std::vector<double>> on_secs;
+    std::vector<uint64_t> epochs_committed;
+    Summary off;
+    std::vector<Summary> on;
+    std::vector<double> overhead_pct;
+  };
+  std::vector<AxisResult> results(kAxes.size());
+  for (AxisResult& r : results) {
+    r.on_secs.resize(intervals.size());
+    r.epochs_committed.assign(intervals.size(), 0);
+  }
+  // Interleaved: every rep runs every axis and interval once, so a noisy
+  // stretch on a shared host lands on all scenarios alike.
   for (int rep = 0; rep < kReps; ++rep) {
-    off_secs.push_back(RunHealthy(0).seconds);
-    for (size_t k = 0; k < intervals.size(); ++k) {
-      const HealthyResult on = RunHealthy(intervals[k]);
-      on_secs[k].push_back(on.seconds);
-      epochs_committed[k] = on.epochs_committed;
+    for (size_t a = 0; a < kAxes.size(); ++a) {
+      AxisResult& r = results[a];
+      r.off_secs.push_back(RunHealthy(kAxes[a], 0).seconds);
+      for (size_t k = 0; k < intervals.size(); ++k) {
+        const HealthyResult on = RunHealthy(kAxes[a], intervals[k]);
+        r.on_secs[k].push_back(on.seconds);
+        r.epochs_committed[k] = on.epochs_committed;
+      }
     }
   }
-  const double off_median = Median(off_secs);
-  std::vector<double> on_median(intervals.size());
-  std::vector<double> overhead_pct(intervals.size());
-  for (size_t k = 0; k < intervals.size(); ++k) {
-    on_median[k] = Median(on_secs[k]);
-    overhead_pct[k] = 100.0 * (on_median[k] - off_median) / off_median;
+  for (AxisResult& r : results) {
+    r.off = Summarize(r.off_secs);
+    for (size_t k = 0; k < intervals.size(); ++k) {
+      r.on.push_back(Summarize(r.on_secs[k]));
+      r.overhead_pct.push_back(100.0 * (r.on[k].median - r.off.median) /
+                               r.off.median);
+    }
   }
 
   const KillResult kill = RunKill();
 
   Table table({"scenario", "seconds", "tuples_per_sec", "notes"});
   const double tuples = static_cast<double>(kFeedPerSource);
-  table.AddRow({"checkpoint_off", Table::Num(off_median, 4),
-                Table::Num(tuples / off_median, 0), "epoch interval 0"});
-  for (size_t k = 0; k < intervals.size(); ++k) {
-    table.AddRow({"checkpoint_on_" + std::to_string(intervals[k]),
-                  Table::Num(on_median[k], 4),
-                  Table::Num(tuples / on_median[k], 0),
-                  "interval " + std::to_string(intervals[k]) + ", " +
-                      std::to_string(epochs_committed[k]) +
-                      " epochs committed, overhead " +
-                      Table::Num(overhead_pct[k], 1) + "%"});
+  for (size_t a = 0; a < kAxes.size(); ++a) {
+    const AxisResult& r = results[a];
+    const std::string axis = kAxes[a].name;
+    table.AddRow({axis + " checkpoint_off", Table::Num(r.off.median, 4),
+                  Table::Num(tuples / r.off.median, 0), "epoch interval 0"});
+    for (size_t k = 0; k < intervals.size(); ++k) {
+      table.AddRow({axis + " checkpoint_on_" + std::to_string(intervals[k]),
+                    Table::Num(r.on[k].median, 4),
+                    Table::Num(tuples / r.on[k].median, 0),
+                    "interval " + std::to_string(intervals[k]) + ", " +
+                        std::to_string(r.epochs_committed[k]) +
+                        " epochs committed, overhead " +
+                        Table::Num(r.overhead_pct[k], 1) + "%"});
+    }
   }
   table.AddRow({"kill_recover", Table::Num(kill.seconds, 4),
                 Table::Num(tuples / kill.seconds, 0),
@@ -210,16 +292,28 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   out << "{\n"
       << "  \"bench\": \"recovery\",\n"
+      << "  \"provenance\": {\"git_sha\": \"" << GitSha()
+      << "\", \"nproc\": " << std::thread::hardware_concurrency()
+      << ", \"compiler\": \"" << kCompiler << "\", \"build_type\": \""
+      << FLEXSTREAM_BUILD_TYPE << "\"},\n"
       << "  \"feed_per_source\": " << kFeedPerSource << ",\n"
       << "  \"reps\": " << kReps << ",\n"
-      << "  \"checkpoint_off_seconds\": " << off_median << ",\n"
-      << "  \"checkpoint_on\": [\n";
-  for (size_t k = 0; k < intervals.size(); ++k) {
-    out << "    {\"epoch_interval\": " << intervals[k]
-        << ", \"seconds\": " << on_median[k]
-        << ", \"overhead_pct\": " << overhead_pct[k]
-        << ", \"epochs_committed\": " << epochs_committed[k] << "}"
-        << (k + 1 < intervals.size() ? "," : "") << "\n";
+      << "  \"axes\": [\n";
+  for (size_t a = 0; a < kAxes.size(); ++a) {
+    const AxisResult& r = results[a];
+    out << "    {\"axis\": \"" << kAxes[a].name
+        << "\", \"emit_batch_size\": " << kAxes[a].emit_batch_size
+        << ", \"columnar\": " << (kAxes[a].columnar ? "true" : "false")
+        << ",\n     \"checkpoint_off_seconds\": " << JsonSummary(r.off)
+        << ",\n     \"checkpoint_on\": [\n";
+    for (size_t k = 0; k < intervals.size(); ++k) {
+      out << "       {\"epoch_interval\": " << intervals[k]
+          << ", \"seconds\": " << JsonSummary(r.on[k])
+          << ", \"overhead_pct\": " << r.overhead_pct[k]
+          << ", \"epochs_committed\": " << r.epochs_committed[k] << "}"
+          << (k + 1 < intervals.size() ? "," : "") << "\n";
+    }
+    out << "     ]}" << (a + 1 < kAxes.size() ? "," : "") << "\n";
   }
   out << "  ],\n"
       << "  \"kill_recover\": {\n"

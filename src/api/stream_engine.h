@@ -122,8 +122,9 @@ struct EngineOptions {
   /// make every placed queue deliver each drained run as a single
   /// ReceiveBatch call. 1 (the default) keeps the per-tuple path
   /// everywhere. Batches always split at punctuations (EOS, epoch
-  /// barriers) and dissolve at fault-hooked or alignment-armed operators,
-  /// so overload accounting and checkpoint semantics are unchanged.
+  /// barriers); alignment buffers them whole and fault hooks vote per
+  /// element inside them, so overload accounting and checkpoint semantics
+  /// are unchanged.
   size_t emit_batch_size = 1;
   /// Columnar batch layer (DESIGN.md §17): with emit_batch_size > 1,
   /// sources scatter accumulated elements into typed ColumnarBatches

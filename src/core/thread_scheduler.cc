@@ -38,7 +38,7 @@ void ThreadScheduler::StartWatchdog(std::vector<Partition*> partitions) {
   CHECK(!watchdog_thread_.joinable()) << "watchdog already running";
   watched_ = std::move(partitions);
   watchdog_stop_.store(false, std::memory_order_release);
-  watchdog_thread_ = std::thread([this] { WatchdogLoop(); });
+  watchdog_thread_ = PooledThread([this] { WatchdogLoop(); });
 }
 
 void ThreadScheduler::StopWatchdog() {

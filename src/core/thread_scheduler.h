@@ -28,10 +28,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "sched/worker_pool.h"
 #include "util/clock.h"
 
 namespace flexstream {
@@ -169,7 +169,7 @@ class ThreadScheduler {
   std::atomic<int> preempt_pending_{0};
 
   // --- watchdog ----------------------------------------------------------
-  std::thread watchdog_thread_;
+  PooledThread watchdog_thread_;
   std::vector<Partition*> watched_;
   std::atomic<bool> watchdog_stop_{false};
   std::atomic<int64_t> stall_events_{0};

@@ -167,27 +167,32 @@ void Operator::ReceiveBatch(TupleBatch&& batch, int port) {
 
 void Operator::ReceiveBatchLocked(TupleBatch&& batch, int port) {
   if (batch.empty()) return;
-  if (epoch_state_ != nullptr || fault_hook_ != nullptr || stamp_emit_seq_) {
-    // Per-delivery machinery is engaged: barrier channels buffer, fault
-    // hooks vote, and sequence stamping reads the per-element stamp — all
-    // element by element, so the batch is unbundled onto the exact
-    // per-tuple path. The sender is re-declared before every element
-    // because a processed element's downstream Emit overwrites the
-    // thread-local.
-    const Node* sender = tl_delivery_sender_;
-    for (Tuple& tuple : batch) {
-      tl_delivery_sender_ = sender;
-      ReceiveLocked(tuple, port);
+  if (epoch_state_ != nullptr) {
+    // Batches never straddle a barrier (producers flush before emitting
+    // one), so the whole batch is either pre-barrier input on an open
+    // channel or post-barrier input on a blocked one.
+    EpochChannel* ch = ChannelForCurrentSender(port);
+    if (ch != nullptr && ch->blocked) {
+      for (Tuple& tuple : batch) ch->backlog.push_back(std::move(tuple));
+      return;
     }
-    return;
   }
+  DeliverBatchLocked(std::move(batch), port);
+}
+
+void Operator::DeliverBatchLocked(TupleBatch&& batch, int port) {
   DCHECK(!closed_) << DebugString() << " received data after close";
   if (failed_.load(std::memory_order_relaxed)) return;
   const size_t n = batch.size();
-  if (simulated_blocking_micros_ > 0.0) {
+  const bool per_element = fault_hook_ != nullptr || stamp_emit_seq_;
+  if (simulated_blocking_micros_ > 0.0 && !per_element) {
     SleepBlockingMicros(simulated_blocking_micros_ * static_cast<double>(n));
   }
   if (!StatsCollectionEnabled()) {
+    if (per_element) {
+      ProcessElements(batch, port);
+      return;
+    }
     if (simulated_cost_micros_ > 0.0) {
       BurnMicros(simulated_cost_micros_ * static_cast<double>(n));
     }
@@ -198,14 +203,49 @@ void Operator::ReceiveBatchLocked(TupleBatch&& batch, int port) {
   stats().RecordArrivalBatch(start, static_cast<int64_t>(n));
   const double saved_child_micros = tl_child_micros;
   tl_child_micros = 0.0;
-  if (simulated_cost_micros_ > 0.0) {
-    BurnMicros(simulated_cost_micros_ * static_cast<double>(n));
+  size_t processed = n;
+  if (per_element) {
+    processed = ProcessElements(batch, port);
+  } else {
+    if (simulated_cost_micros_ > 0.0) {
+      BurnMicros(simulated_cost_micros_ * static_cast<double>(n));
+    }
+    ProcessBatch(std::move(batch), port);
   }
-  ProcessBatch(std::move(batch), port);
   const double total_micros = static_cast<double>(ToMicros(Now() - start));
   const double self_micros = std::max(0.0, total_micros - tl_child_micros);
-  stats().RecordProcessedBatch(self_micros, static_cast<int64_t>(n));
+  stats().RecordProcessedBatch(self_micros, static_cast<int64_t>(processed));
   tl_child_micros = saved_child_micros + total_micros;
+}
+
+size_t Operator::ProcessElements(const TupleBatch& batch, int port) {
+  // Per-element machinery inside one batch-level gate: the fault hook
+  // votes and the seq stamp is read element by element, exactly as on the
+  // per-tuple path. The sender is re-declared before every element
+  // because a processed element's downstream Emit overwrites the
+  // thread-local, and sender-keyed consumers (the Merge's lane lookup)
+  // must see the channel the batch arrived on.
+  const Node* sender = tl_delivery_sender_;
+  size_t processed = 0;
+  for (const Tuple& tuple : batch) {
+    // The first element that poisons the operator (a permanent fault, an
+    // exhausted retry budget, or a Fail from Process) drops the rest.
+    if (failed_.load(std::memory_order_relaxed)) break;
+    tl_delivery_sender_ = sender;
+    if (fault_hook_ != nullptr && !PassesFaultHook(tuple, port)) break;
+    if (stamp_emit_seq_) current_input_seq_ = tuple.seq();
+    if (simulated_blocking_micros_ > 0.0) {
+      // Waiting, not computing: booked as child time so the batch's c(v)
+      // excludes it, as the per-tuple path does.
+      const TimePoint sleep_start = Now();
+      SleepBlockingMicros(simulated_blocking_micros_);
+      tl_child_micros += static_cast<double>(ToMicros(Now() - sleep_start));
+    }
+    if (simulated_cost_micros_ > 0.0) BurnMicros(simulated_cost_micros_);
+    Process(tuple, port);
+    ++processed;
+  }
+  return processed;
 }
 
 void Operator::ProcessBatch(TupleBatch&& batch, int port) {
@@ -226,12 +266,14 @@ void Operator::ReceiveColumnarLocked(ColumnarBatchPtr batch, int port) {
     columnar::ReleaseBatch(std::move(batch));
     return;
   }
-  if (!columnar_native_ || epoch_state_ != nullptr || fault_hook_ != nullptr ||
-      stamp_emit_seq_) {
-    // The fallback contract (DESIGN.md §17): no kernel, or per-delivery
-    // machinery (barrier channels, fault hooks, seq stamping) is engaged —
-    // materialize to rows and take the existing batch path, which applies
-    // every gate exactly (including its own per-tuple unbundling).
+  if (!columnar_native_ || fault_hook_ != nullptr || stamp_emit_seq_ ||
+      (epoch_state_ != nullptr && SenderChannelBlocked(port))) {
+    // The fallback contract (DESIGN.md §17): no kernel, per-element
+    // machinery (fault hooks, seq stamping) is engaged, or the sender's
+    // barrier channel is blocked — materialize to rows and take the row
+    // batch path, which votes per element or buffers the rows in the
+    // channel's backlog. An armed epoch with the channel open keeps the
+    // columnar kernel: the batch is wholly pre-barrier input.
     ReceiveBatchLocked(columnar::MaterializeAndRelease(std::move(batch)),
                        port);
     return;
@@ -328,6 +370,11 @@ Operator::EpochChannel* Operator::ChannelForCurrentSender(int port) {
   return nullptr;
 }
 
+bool Operator::SenderChannelBlocked(int port) {
+  const EpochChannel* ch = ChannelForCurrentSender(port);
+  return ch != nullptr && ch->blocked;
+}
+
 void Operator::InitEpochState(uint64_t aligned_epoch) {
   epoch_state_ = std::make_unique<EpochState>();
   epoch_state_->aligned_epoch = aligned_epoch;
@@ -375,22 +422,30 @@ void Operator::AlignAndRelease() {
     for (EpochChannel& ch : es.channels) ch.blocked = false;
     // Release each channel's backlog until it re-blocks (next barrier),
     // closes, or empties; another full alignment may follow immediately.
-    // The delivery sender is re-declared before every element: the value
-    // left in the thread-local belongs to whichever delivery triggered
-    // the alignment (and each element's own downstream Emit overwrites it
-    // again), but sender-keyed consumers — the Merge's lane lookup — must
-    // see the channel the element actually arrived on.
+    // Each run of data elements up to the next punctuation is delivered
+    // as one batch. The delivery sender is re-declared before every
+    // delivery: the value left in the thread-local belongs to whichever
+    // delivery triggered the alignment (and each delivery's downstream
+    // Emit overwrites it again), but sender-keyed consumers — the Merge's
+    // lane lookup — must see the channel the element actually arrived on.
     for (EpochChannel& ch : es.channels) {
       while (!ch.blocked && !ch.backlog.empty()) {
+        if (ch.backlog.front().is_data()) {
+          TupleBatch run;
+          while (!ch.backlog.empty() && ch.backlog.front().is_data()) {
+            run.PushBack(std::move(ch.backlog.front()));
+            ch.backlog.pop_front();
+          }
+          tl_delivery_sender_ = ch.source;
+          DeliverBatchLocked(std::move(run), ch.port);
+          continue;
+        }
         Tuple t = std::move(ch.backlog.front());
         ch.backlog.pop_front();
         if (t.is_barrier()) {
           ch.blocked = true;
-        } else if (t.is_eos()) {
-          ch.closed = true;
-          tl_delivery_sender_ = ch.source;
-          DeliverLocked(t, ch.port);
         } else {
+          ch.closed = true;
           tl_delivery_sender_ = ch.source;
           DeliverLocked(t, ch.port);
         }

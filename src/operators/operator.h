@@ -106,23 +106,27 @@ class Operator : public Node {
   /// Receive() once per element, in order, on `port`, but pays the virtual
   /// dispatch, serialization lock and statistics bookkeeping once per
   /// batch. Batches carry data tuples only — punctuations (EOS, barriers)
-  /// always travel through Receive() — so fan-in close accounting and
-  /// barrier alignment never see a batch. When per-delivery machinery is
-  /// engaged (a fault hook is installed or barrier alignment is armed) the
-  /// base implementation unbundles the batch onto the exact per-tuple
-  /// path, so chaos and checkpoint semantics are preserved bit-for-bit.
+  /// always travel through Receive() — and producers flush before every
+  /// punctuation, so a batch never straddles a barrier. With barrier
+  /// alignment armed, a batch from an open channel is delivered whole and
+  /// a batch from a blocked channel is appended whole to its backlog. With
+  /// a fault hook or seq stamping engaged, the hook votes and the stamp is
+  /// read per element inside one batch-level gate (one stats record per
+  /// batch), stopping at the first element that poisons the operator —
+  /// the per-tuple path's semantics exactly.
   virtual void ReceiveBatch(TupleBatch&& batch, int port);
 
   /// Columnar delivery (DESIGN.md §17): semantically identical to calling
   /// ReceiveBatch on the materialized rows — and that is literally what the
   /// base implementation does whenever the operator has no columnar kernel
-  /// (MarkColumnarNative not set) or any per-delivery machinery is engaged
-  /// (fault hook, armed barrier alignment, seq stamping): the batch
-  /// materializes to a TupleBatch, recycles its column storage, and takes
-  /// the existing row-wise path, which applies every gate exactly.
-  /// Columnar-native operators instead get the whole typed batch via
-  /// ProcessColumnar after the batch-level gates (failure poisoning,
-  /// stats, simulated cost/blocking) have been applied once.
+  /// (MarkColumnarNative not set), a fault hook or seq stamping is engaged,
+  /// or the sender's barrier channel is blocked: the batch materializes to
+  /// a TupleBatch, recycles its column storage, and takes the row-wise
+  /// path, which applies every gate exactly. Columnar-native operators
+  /// otherwise get the whole typed batch via ProcessColumnar — an armed
+  /// epoch with the channel open included — after the batch-level gates
+  /// (failure poisoning, stats, simulated cost/blocking) have been applied
+  /// once.
   virtual void ReceiveColumnar(ColumnarBatchPtr batch, int port);
 
   /// True when this operator has a columnar kernel (see MarkColumnarNative).
@@ -180,7 +184,7 @@ class Operator : public Node {
 
   /// When enabled, every emitted data tuple is stamped with the arrival
   /// sequence number of the input element currently being processed, and
-  /// batch deliveries unbundle onto the per-tuple path (so the stamp is
+  /// batch deliveries call Process once per element (so the stamp is
   /// exact per element). Shard replicas under an ordered merge enable
   /// this; it propagates the split-point sequence through one-in/N-out
   /// operators so the Merge can restore global arrival order.
@@ -275,6 +279,14 @@ class Operator : public Node {
   /// state must call the base implementation.
   void Reset() override;
 
+  /// The upstream node whose Emit/drain loop is making the current
+  /// delivery (see SetDeliverySender). Valid inside Process/ProcessBatch.
+  static const Node* CurrentDeliverySender() { return tl_delivery_sender_; }
+
+  /// Forgets the calling thread's delivery sender. The worker pool calls
+  /// it before every job so a reused thread starts like a fresh one.
+  static void ClearDeliverySender() { tl_delivery_sender_ = nullptr; }
+
  protected:
   /// Marks this operator permanently failed: reports `status` to the run's
   /// RunStatus (naming this operator) and poisons the operator so later
@@ -325,10 +337,6 @@ class Operator : public Node {
   /// The ordered Merge marks the sender's lane closed so it stops gating
   /// releases. Default: no-op.
   virtual void OnInputEos(const Node* sender, int port);
-
-  /// The upstream node whose Emit/drain loop is making the current
-  /// delivery (see SetDeliverySender). Valid inside Process/ProcessBatch.
-  static const Node* CurrentDeliverySender() { return tl_delivery_sender_; }
 
   /// Direct interoperability: pushes `tuple` to every subscriber, in
   /// subscription order, within the current thread.
@@ -401,14 +409,25 @@ class Operator : public Node {
   static thread_local const Node* tl_delivery_sender_;
 
   void ReceiveLocked(const Tuple& tuple, int port);
-  /// Batch delivery under the (optional) serialization lock: applies the
-  /// Receive-path gates once for the whole batch, or unbundles it when
-  /// per-delivery machinery (fault hook, barrier alignment) is engaged.
+  /// Batch delivery under the (optional) serialization lock: buffers the
+  /// batch behind a blocked barrier channel, else delivers it.
   void ReceiveBatchLocked(TupleBatch&& batch, int port);
+  /// The batch analogue of DeliverLocked: applies the Receive-path gates
+  /// once for the whole batch and hands it to ProcessBatch, or to
+  /// ProcessElements when a fault hook or seq stamping is engaged.
+  void DeliverBatchLocked(TupleBatch&& batch, int port);
+  /// Runs the fault hook, sets the seq stamp and calls Process for each
+  /// element in order, stopping at the first that poisons the operator.
+  /// Returns the number of elements processed.
+  size_t ProcessElements(const TupleBatch& batch, int port);
   /// Columnar delivery under the (optional) serialization lock: applies
   /// the batch-level gates once, or materializes onto the row-wise path
-  /// when the operator lacks a kernel or per-delivery machinery is armed.
+  /// when the operator lacks a kernel, per-element machinery is engaged,
+  /// or the sender's barrier channel is blocked.
   void ReceiveColumnarLocked(ColumnarBatchPtr batch, int port);
+  /// True when barrier alignment is holding back the current sender's
+  /// channel. Requires epoch_state_.
+  bool SenderChannelBlocked(int port);
   /// The pre-barrier delivery path (stats, fault hook, Process/EOS).
   void DeliverLocked(const Tuple& tuple, int port);
   /// Barrier-aware routing. Returns true when the delivery was consumed

@@ -150,6 +150,26 @@ Result<OperatorSnapshot> CountingSink::DecodeState(
   return snap;
 }
 
+void CollectingSink::Chunks::Append(Tuple tuple) {
+  if (tail.empty()) tail.reserve(kChunkSize);
+  tail.push_back(std::move(tuple));
+  if (tail.size() < kChunkSize) return;
+  // Allocated non-const so TakeResults may move out of a chunk it owns
+  // alone.
+  sealed.push_back(std::make_shared<std::vector<Tuple>>(std::move(tail)));
+  tail.clear();  // normalize the moved-from state
+}
+
+std::vector<Tuple> CollectingSink::Chunks::Flatten() const {
+  std::vector<Tuple> out;
+  out.reserve(size());
+  for (const auto& chunk : sealed) {
+    out.insert(out.end(), chunk->begin(), chunk->end());
+  }
+  out.insert(out.end(), tail.begin(), tail.end());
+  return out;
+}
+
 CollectingSink::CollectingSink(std::string name) : Sink(std::move(name)) {}
 
 OperatorSnapshot CollectingSink::SnapshotState() const {
@@ -162,14 +182,14 @@ OperatorSnapshot CollectingSink::SnapshotState() const {
 
 void CollectingSink::RestoreState(const OperatorSnapshot& snapshot) {
   std::lock_guard<std::mutex> lock(results_mutex_);
-  results_ = std::any_cast<std::vector<Tuple>>(snapshot.state);
+  results_ = std::any_cast<const Chunks&>(snapshot.state);
 }
 
 Status CollectingSink::EncodeState(const OperatorSnapshot& snapshot,
                                    std::string* out) const {
-  const std::vector<Tuple>* results = nullptr;
+  const Chunks* results = nullptr;
   if (snapshot.state.has_value()) {
-    results = std::any_cast<std::vector<Tuple>>(&snapshot.state);
+    results = std::any_cast<Chunks>(&snapshot.state);
     if (results == nullptr) {
       return Status::InvalidArgument(
           "snapshot is not a collecting-sink snapshot");
@@ -180,8 +200,12 @@ Status CollectingSink::EncodeState(const OperatorSnapshot& snapshot,
     w.U64(0);
     return Status::Ok();
   }
+  // Flat, as before chunking: the count, then every tuple in order.
   w.U64(results->size());
-  for (const Tuple& tuple : *results) w.Tuple(tuple);
+  for (const auto& chunk : results->sealed) {
+    for (const Tuple& tuple : *chunk) w.Tuple(tuple);
+  }
+  for (const Tuple& tuple : results->tail) w.Tuple(tuple);
   return Status::Ok();
 }
 
@@ -192,21 +216,20 @@ Result<OperatorSnapshot> CollectingSink::DecodeState(
   Status st = r.U64(&count);
   if (!st.ok()) return st;
   // Every stored tuple costs at least its fixed header, so a count
-  // beyond the remaining bytes is corrupt — reject it before reserve()
-  // turns a garbage count into a std::length_error.
+  // beyond the remaining bytes is corrupt — reject it before it drives
+  // a long decode loop.
   if (count > r.remaining()) {
     return Status::InvalidArgument(
         "collecting-sink count " + std::to_string(count) +
         " exceeds the " + std::to_string(r.remaining()) +
         " bytes remaining");
   }
-  std::vector<Tuple> results;
-  results.reserve(count);
+  Chunks results;
   for (uint64_t i = 0; i < count; ++i) {
     Tuple tuple = Tuple::OfInt(0, 0);
     st = r.Tuple(&tuple);
     if (!st.ok()) return st;
-    results.push_back(std::move(tuple));
+    results.Append(std::move(tuple));
   }
   if (!r.done()) {
     return Status::InvalidArgument(
@@ -220,12 +243,27 @@ Result<OperatorSnapshot> CollectingSink::DecodeState(
 
 std::vector<Tuple> CollectingSink::TakeResults() {
   std::lock_guard<std::mutex> lock(results_mutex_);
-  return std::move(results_);
+  std::vector<Tuple> out;
+  out.reserve(results_.size());
+  for (const auto& chunk : results_.sealed) {
+    if (chunk.use_count() == 1) {
+      // No snapshot shares this chunk: move its payloads out.
+      auto& tuples = const_cast<std::vector<Tuple>&>(*chunk);
+      out.insert(out.end(), std::make_move_iterator(tuples.begin()),
+                 std::make_move_iterator(tuples.end()));
+    } else {
+      out.insert(out.end(), chunk->begin(), chunk->end());
+    }
+  }
+  out.insert(out.end(), std::make_move_iterator(results_.tail.begin()),
+             std::make_move_iterator(results_.tail.end()));
+  results_ = Chunks();
+  return out;
 }
 
 std::vector<Tuple> CollectingSink::Results() const {
   std::lock_guard<std::mutex> lock(results_mutex_);
-  return results_;
+  return results_.Flatten();
 }
 
 size_t CollectingSink::size() const {
@@ -236,20 +274,19 @@ size_t CollectingSink::size() const {
 void CollectingSink::Reset() {
   Sink::Reset();
   std::lock_guard<std::mutex> lock(results_mutex_);
-  results_.clear();
+  results_ = Chunks();
 }
 
 void CollectingSink::Consume(const Tuple& tuple, int port) {
   (void)port;
   std::lock_guard<std::mutex> lock(results_mutex_);
-  results_.push_back(tuple);
+  results_.Append(tuple);
 }
 
 void CollectingSink::ConsumeBatch(TupleBatch&& batch, int port) {
   (void)port;
   std::lock_guard<std::mutex> lock(results_mutex_);
-  results_.insert(results_.end(), std::make_move_iterator(batch.begin()),
-                  std::make_move_iterator(batch.end()));
+  for (Tuple& tuple : batch) results_.Append(std::move(tuple));
 }
 
 CallbackSink::CallbackSink(std::string name,

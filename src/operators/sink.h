@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -102,6 +103,25 @@ class CountingSink : public Sink, public StatefulOperator {
 /// are an exact multiset match against an undisturbed one.
 class CollectingSink : public Sink, public StatefulOperator {
  public:
+  /// Tuples per sealed chunk of the result store.
+  static constexpr size_t kChunkSize = 128;
+
+  /// The result store, which is also the snapshot payload: sealed chunks
+  /// of exactly kChunkSize tuples, immutable and shared by pointer, then
+  /// one open tail. Copying it shares the sealed chunks and copies only
+  /// the tail, so a per-epoch snapshot costs O(tail + chunk count) rather
+  /// than O(results), and restoring one truncates the store to it. The
+  /// chunk list is flat, so releasing any copy never recurses.
+  struct Chunks {
+    std::vector<std::shared_ptr<const std::vector<Tuple>>> sealed;
+    std::vector<Tuple> tail;
+
+    size_t size() const { return sealed.size() * kChunkSize + tail.size(); }
+    void Append(Tuple tuple);
+    /// All tuples in arrival order.
+    std::vector<Tuple> Flatten() const;
+  };
+
   explicit CollectingSink(std::string name);
 
   std::vector<Tuple> TakeResults();
@@ -124,7 +144,7 @@ class CollectingSink : public Sink, public StatefulOperator {
 
  private:
   mutable std::mutex results_mutex_;
-  std::vector<Tuple> results_;
+  Chunks results_;
 };
 
 /// Invokes a callback per tuple (for examples and ad-hoc probes).

@@ -75,9 +75,13 @@ void QueueOp::SetCurrentSlotYielder(SlotYielder* yielder) {
   tl_slot_yielder = yielder;
 }
 
+QueueOp::SlotYielder* QueueOp::CurrentSlotYielder() { return tl_slot_yielder; }
+
 void QueueOp::SetCurrentDrainContext(const void* context) {
   tl_drain_context = context;
 }
+
+const void* QueueOp::CurrentDrainContext() { return tl_drain_context; }
 
 QueueOp::QueueOp(std::string name, size_t ring_capacity)
     : Operator(Kind::kQueue, std::move(name), kVariadicArity),

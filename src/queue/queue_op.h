@@ -282,6 +282,7 @@ class QueueOp final : public Operator {
   /// Declares the calling thread's current draining context (thread-local;
   /// set by Partition::RunLoop for the duration of the loop).
   static void SetCurrentDrainContext(const void* context);
+  static const void* CurrentDrainContext();
 
   /// A producer that parks in a kBlock wait may be holding an execution
   /// slot of the level-3 ThreadScheduler; parking without giving it up
@@ -298,6 +299,7 @@ class QueueOp final : public Operator {
     virtual void ReacquireSlot() = 0;
   };
   static void SetCurrentSlotYielder(SlotYielder* yielder);
+  static SlotYielder* CurrentSlotYielder();
 
   /// Selects the enqueue path. `true` promises that at most one thread at
   /// a time calls Receive (one producing partition or source); the queue

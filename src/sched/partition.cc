@@ -37,7 +37,7 @@ Partition::~Partition() {
 void Partition::Start() {
   CHECK(!running()) << name_ << " already running";
   stop_.store(false, std::memory_order_release);
-  worker_ = std::thread([this] { RunLoop(); });
+  worker_ = PooledThread([this] { RunLoop(); });
 }
 
 void Partition::Run() {

@@ -22,11 +22,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "queue/queue_op.h"
 #include "sched/strategy.h"
+#include "sched/worker_pool.h"
 #include "util/clock.h"
 
 namespace flexstream {
@@ -82,7 +82,7 @@ class Partition : private QueueOp::SlotYielder {
   /// while quiescent (before Start/Run).
   void SetRunStatus(RunStatus* run_status) { run_status_ = run_status; }
 
-  /// Spawns the worker thread executing the run loop.
+  /// Runs the run loop on a pooled worker thread (sched/worker_pool.h).
   void Start();
 
   /// Executes the run loop in the calling thread (blocks until the
@@ -145,7 +145,7 @@ class Partition : private QueueOp::SlotYielder {
 
   RunStatus* run_status_ = nullptr;
 
-  std::thread worker_;
+  PooledThread worker_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_{false};
   std::atomic<int64_t> drained_{0};

@@ -444,8 +444,8 @@ std::vector<DiffConfig> ChaosConfigMatrix() {
     config.watchdog = true;
     configs.push_back(config);
   }
-  // Batch delivery under chaos: transient faults make batches dissolve to
-  // the per-tuple fallback at the hooked operators while bounded kShedNewest
+  // Batch delivery under chaos: transient faults are voted per element
+  // inside each batch at the hooked operators while bounded kShedNewest
   // queues shed per element — drop counters must still account for every
   // missing tuple exactly.
   {
@@ -539,14 +539,16 @@ std::vector<DiffConfig> RecoveryConfigMatrix(const std::string& kill_operator,
   // replay; two rewinds must still converge to golden.
   add(ExecutionMode::kHmts, StrategyKind::kFifo).chaos_kills = 2;
   // Batch delivery + kill/revive: batches split at every epoch barrier and
-  // dissolve at fault-hooked operators, so rewind + replay must restore
-  // exactly the same committed prefix as the per-tuple path.
+  // the fault hook votes per element inside a batch, so the kill lands
+  // mid-batch (delivery 120 is the 21st element of a 50-element epoch's
+  // batch) and rewind + replay must restore exactly the same committed
+  // prefix as the per-tuple path.
   add(ExecutionMode::kHmts, StrategyKind::kFifo).emit_batch_size = 64;
   add(ExecutionMode::kGts, StrategyKind::kFifo).emit_batch_size = 8;
-  // Columnar + kill/revive: armed epoch-alignment state forces the row
-  // fallback at epoch-participating operators (the PR 5 unbundling
-  // contract), so rewind + replay must restore exactly the same committed
-  // prefix as the per-tuple path.
+  // Columnar + kill/revive: columnar kernels stay on between barriers,
+  // the fault-hooked operator takes the row path, and blocked channels
+  // buffer materialized rows, so rewind + replay must restore exactly the
+  // same committed prefix as the per-tuple path.
   {
     DiffConfig& config = add(ExecutionMode::kHmts, StrategyKind::kFifo);
     config.emit_batch_size = 64;
@@ -624,6 +626,20 @@ std::vector<DiffConfig> ShardConfigMatrix() {
     config.checkpoint_epoch_interval = 50;
     config.kill_shard_replica = 1;
     config.chaos_kill_after = 40;
+    configs.push_back(config);
+  }
+  // The same kill on batch delivery, row and columnar: replica 0 is
+  // fault-hooked and seq-stamping, so it votes and stamps per element
+  // inside each batch, and delivery 37 lands mid-batch.
+  for (bool columnar : {false, true}) {
+    DiffConfig config;
+    config.mode = ExecutionMode::kHmts;
+    config.shard_count = 2;
+    config.emit_batch_size = 64;
+    config.columnar = columnar;
+    config.checkpoint_epoch_interval = 50;
+    config.kill_shard_replica = 0;
+    config.chaos_kill_after = 37;
     configs.push_back(config);
   }
   return configs;
