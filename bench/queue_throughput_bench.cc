@@ -1,30 +1,20 @@
-// Cross-thread queue throughput: the batched SPSC/MPSC QueueOp paths
-// against the seed's mutex-per-tuple queue.
+// Cross-thread queue throughput of the batched SPSC/MPSC QueueOp paths.
 //
 // Scenarios (small = single int attribute, string = 32-char payload):
-//   legacy_1p / legacy_4p : in-bench replica of the seed QueueOp hot path —
-//       per-tuple lock on enqueue AND drain, std::function listener copied
-//       under the lock, one notification per tuple.
-//   spsc_1p               : QueueOp with SetSingleProducer(true) — lock-free
-//       ring enqueue, batched drain, coalesced wakeups.
-//   mpsc_4p               : QueueOp MPSC fallback — per-tuple lock enqueue
-//       but batched drain and coalesced wakeups.
+//   spsc_1p : QueueOp with SetSingleProducer(true) — lock-free ring
+//       enqueue, batched drain, coalesced wakeups.
+//   mpsc_4p : QueueOp MPSC fallback — per-tuple lock enqueue but batched
+//       drain and coalesced wakeups.
 //
-// Both sides get the same NotifyWork-shaped listener (mutex + flag +
+// The consumer waits on a NotifyWork-shaped listener (mutex + flag +
 // condition variable) so the wakeup cost is represented honestly. Input
 // tuples are materialized before the clock starts: tuple construction is
-// workload, not transfer, and keeping it off the clock isolates what the
-// two paths actually do differently — the legacy path copies each tuple
-// into its deque under the lock (the seed's Emit/Receive contract is
-// const&), the new path adopts it by move through Receive(Tuple&&).
-// Results go to stdout and to BENCH_queue.json (override with
-// --out <path>).
+// workload, not transfer, and producers hand each tuple to the queue by
+// move through Receive(Tuple&&). Results go to stdout and to
+// BENCH_queue.json (override with --out <path>).
 
-#include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <mutex>
 #include <string>
@@ -45,80 +35,8 @@
 namespace flexstream {
 namespace {
 
-/// Replica of the seed QueueOp transfer path (see git history of
-/// src/queue/queue_op.cc): one mutex acquisition and one listener
-/// invocation per enqueued tuple, and one mutex acquisition per drained
-/// tuple. Kept in the bench so the comparison target stays fixed while the
-/// real QueueOp evolves.
-class LegacyQueue {
- public:
-  void SetEnqueueListener(std::function<void()> listener) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    listener_ = std::move(listener);
-  }
-
-  void Receive(const Tuple& tuple) {
-    std::function<void()> listener;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      listener = listener_;  // seed behavior: copied under the lock
-      items_.push_back(
-          {tuple, seq_.fetch_add(1, std::memory_order_relaxed)});
-    }
-    if (listener) listener();
-  }
-
-  /// Seed behavior: the EOS enqueue also notified the listener.
-  void Close() {
-    std::function<void()> listener;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      listener = listener_;
-      closed_.store(true, std::memory_order_release);
-    }
-    if (listener) listener();
-  }
-
-  /// Per-tuple lock, exactly like the seed DrainBatch loop; emits into the
-  /// same downstream operator machinery as the real QueueOp so the
-  /// consumer-side work is identical across scenarios.
-  size_t DrainBatch(size_t max_elements, Operator* downstream) {
-    size_t drained = 0;
-    while (drained < max_elements) {
-      Tuple tuple;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (items_.empty()) break;
-        tuple = std::move(items_.front().tuple);
-        items_.pop_front();
-      }
-      ++drained;
-      downstream->Receive(tuple, 0);  // seed Emit: const& per hop
-    }
-    return drained;
-  }
-
-  bool Exhausted() {
-    if (!closed_.load(std::memory_order_acquire)) return false;
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.empty();
-  }
-
- private:
-  struct Item {
-    Tuple tuple;
-    uint64_t seq;
-  };
-
-  mutable std::mutex mutex_;
-  std::deque<Item> items_;
-  std::function<void()> listener_;
-  std::atomic<uint64_t> seq_{0};  // seed: global arrival counter per tuple
-  std::atomic<bool> closed_{false};
-};
-
-/// The Partition::NotifyWork shape: both queue flavors get this exact
-/// listener so notification cost is measured, not assumed away.
+/// The Partition::NotifyWork shape: the queue gets this exact listener so
+/// notification cost is measured, not assumed away.
 struct WakeTarget {
   std::mutex mutex;
   std::condition_variable cv;
@@ -173,7 +91,7 @@ Tuple MakeTuple(bool string_payload, int64_t i) {
 }
 
 /// One input vector per producer, built before the stopwatch starts so
-/// tuple construction stays off the clock for both queue flavors.
+/// tuple construction stays off the clock.
 std::vector<std::vector<Tuple>> MakeInputs(int producers, int64_t total,
                                            bool string_payload) {
   const int64_t per_producer = total / producers;
@@ -198,56 +116,6 @@ struct RunResult {
   int64_t ring_pushes = 0;
   int64_t locked_pushes = 0;
 };
-
-RunResult RunLegacy(int producers, bool string_payload, int64_t total) {
-  // Same downstream as RunQueueOp: a real CountingSink fed through the
-  // operator Receive path, so only the queue transfer differs.
-  QueryGraph graph;
-  Source* src = graph.Add<Source>("src");
-  CountingSink* sink = graph.Add<CountingSink>("sink");
-  CHECK_OK(graph.Connect(src, sink));
-
-  LegacyQueue q;
-  WakeTarget wake;
-  q.SetEnqueueListener([&wake] { wake.Notify(); });
-
-  const int64_t per_producer = total / producers;
-  std::vector<std::vector<Tuple>> inputs =
-      MakeInputs(producers, total, string_payload);
-  std::atomic<int> open_producers{producers};
-  Stopwatch sw;
-  std::vector<std::thread> threads;
-  threads.reserve(producers);
-  for (int p = 0; p < producers; ++p) {
-    threads.emplace_back([&, p] {
-      for (Tuple& tuple : inputs[p]) {
-        q.Receive(tuple);  // seed contract: const&, copied into the deque
-      }
-      if (open_producers.fetch_sub(1) == 1) q.Close();
-    });
-  }
-  int64_t drained = 0;
-  while (!q.Exhausted()) {
-    wake.LingerThenAwait();
-    while (size_t n = q.DrainBatch(1024, sink)) {
-      drained += static_cast<int64_t>(n);
-    }
-  }
-  for (auto& t : threads) t.join();
-  const double seconds = sw.ElapsedSeconds();
-  CHECK(drained == producers * per_producer);
-  CHECK(sink->count() == producers * per_producer);
-
-  RunResult r;
-  r.scenario = "legacy_" + std::to_string(producers) + "p";
-  r.producers = producers;
-  r.payload = string_payload ? "string" : "small";
-  r.tuples = producers * per_producer;
-  r.seconds = seconds;
-  r.tuples_per_sec = static_cast<double>(r.tuples) / seconds;
-  r.wakeups = wake.wakeups;
-  return r;
-}
 
 RunResult RunQueueOp(int producers, bool string_payload, int64_t total) {
   QueryGraph graph;
@@ -315,7 +183,6 @@ RunResult RunQueueOp(int producers, bool string_payload, int64_t total) {
 }
 
 void WriteJson(const std::vector<RunResult>& results,
-               const std::vector<std::pair<std::string, double>>& speedups,
                const std::string& path) {
   std::ofstream out(path);
   CHECK(out.good()) << "cannot write " << path;
@@ -331,13 +198,7 @@ void WriteJson(const std::vector<RunResult>& results,
         << ", \"locked_pushes\": " << r.locked_pushes << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"speedups\": {\n";
-  for (size_t i = 0; i < speedups.size(); ++i) {
-    out << "    \"" << speedups[i].first << "\": "
-        << Table::Num(speedups[i].second, 2)
-        << (i + 1 < speedups.size() ? "," : "") << "\n";
-  }
-  out << "  }\n}\n";
+  out << "  ]\n}\n";
   std::cout << "wrote " << path << "\n";
 }
 
@@ -360,39 +221,24 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // Both paths honor the same global, so this is symmetric: the bench
-  // measures the transfer itself, not the per-tuple stats clock reads.
+  // The bench measures the transfer itself, not the per-tuple stats clock
+  // reads.
   SetStatsCollectionEnabled(false);
 
-  // Best-of-N per scenario, with the legacy and new runs of a pair
-  // interleaved rep by rep: the box this runs on is a shared single-core
-  // VM whose background load drifts on a seconds-to-minutes scale, so
-  // adjacent runs see comparable noise and the max over repetitions is the
-  // least noisy estimator of the achievable rate for both sides.
+  // Best-of-N per scenario: the box this runs on is a shared VM whose
+  // background load drifts on a seconds-to-minutes scale, so the max over
+  // repetitions is the least noisy estimator of the achievable rate.
   std::vector<RunResult> results;
-  auto best_pair = [&](auto&& run_legacy, auto&& run_new) {
-    RunResult best_legacy = run_legacy();
-    RunResult best_new = run_new();
-    for (int r = 1; r < reps; ++r) {
-      RunResult next_legacy = run_legacy();
-      if (next_legacy.tuples_per_sec > best_legacy.tuples_per_sec) {
-        best_legacy = next_legacy;
-      }
-      RunResult next_new = run_new();
-      if (next_new.tuples_per_sec > best_new.tuples_per_sec) {
-        best_new = next_new;
-      }
-    }
-    results.push_back(best_legacy);
-    results.push_back(best_new);
-  };
-
   for (const bool string_payload : {false, true}) {
     const int64_t total = string_payload ? string_count : small_count;
-    best_pair([&] { return RunLegacy(1, string_payload, total); },
-              [&] { return RunQueueOp(1, string_payload, total); });
-    best_pair([&] { return RunLegacy(4, string_payload, total); },
-              [&] { return RunQueueOp(4, string_payload, total); });
+    for (const int producers : {1, 4}) {
+      RunResult best = RunQueueOp(producers, string_payload, total);
+      for (int r = 1; r < reps; ++r) {
+        RunResult next = RunQueueOp(producers, string_payload, total);
+        if (next.tuples_per_sec > best.tuples_per_sec) best = next;
+      }
+      results.push_back(best);
+    }
   }
 
   Table t({"scenario", "payload", "producers", "tuples", "wall_s",
@@ -406,32 +252,7 @@ int Main(int argc, char** argv) {
   }
   t.Print(std::cout);
 
-  auto rate_of = [&](const std::string& scenario,
-                     const std::string& payload) {
-    for (const RunResult& r : results) {
-      if (r.scenario == scenario && r.payload == payload) {
-        return r.tuples_per_sec;
-      }
-    }
-    CHECK(false) << "missing scenario " << scenario;
-    return 0.0;
-  };
-  std::vector<std::pair<std::string, double>> speedups = {
-      {"spsc_vs_legacy_1p_small",
-       rate_of("spsc_1p", "small") / rate_of("legacy_1p", "small")},
-      {"spsc_vs_legacy_1p_string",
-       rate_of("spsc_1p", "string") / rate_of("legacy_1p", "string")},
-      {"mpsc_vs_legacy_4p_small",
-       rate_of("mpsc_4p", "small") / rate_of("legacy_4p", "small")},
-      {"mpsc_vs_legacy_4p_string",
-       rate_of("mpsc_4p", "string") / rate_of("legacy_4p", "string")},
-  };
-  std::cout << "\n-- speedups (new path / legacy path) --\n";
-  for (const auto& [name, value] : speedups) {
-    std::cout << "  " << name << ": " << Table::Num(value, 2) << "x\n";
-  }
-
-  WriteJson(results, speedups, out_path);
+  WriteJson(results, out_path);
   return 0;
 }
 

@@ -223,9 +223,8 @@ Status StreamEngine::ComputeQueueEdges(
 }
 
 Status StreamEngine::BuildExecutors(const EngineOptions& options) {
-  gts_.reset();
-  ots_.reset();
   hmts_.reset();
+  std::vector<HmtsExecutor::PartitionSpec> specs;
   switch (options.mode) {
     case ExecutionMode::kSourceDriven:
       // No scheduler at all; serialize shared operators since several
@@ -238,11 +237,13 @@ Status StreamEngine::BuildExecutors(const EngineOptions& options) {
       return Status::Ok();
     case ExecutionMode::kDirect:
     case ExecutionMode::kGts:
-      gts_ = std::make_unique<GtsExecutor>(queues_, options.strategy,
-                                           options.partition);
-      gts_->SetRunStatus(&run_status_);
-      return Status::Ok();
-    case ExecutionMode::kOts:
+      // GTS: one partition holding every queue (Section 4.1.1).
+      specs.resize(1);
+      specs[0].name = "gts";
+      specs[0].queues = queues_;
+      specs[0].strategy = options.strategy;
+      break;
+    case ExecutionMode::kOts: {
       // Sinks run via DI inside their producers' operator threads; a sink
       // shared by operators in different threads needs its Receive
       // serialized.
@@ -253,9 +254,23 @@ Status StreamEngine::BuildExecutors(const EngineOptions& options) {
           }
         }
       }
-      ots_ = std::make_unique<OtsExecutor>(queues_, options.partition);
-      ots_->SetRunStatus(&run_status_);
-      return Status::Ok();
+      // One thread per *operator*: "an operator thread obtains elements
+      // from its input queues" (Section 4.1.2) — a multi-input operator's
+      // queues share its thread, which also keeps every operator
+      // single-threaded.
+      std::map<Node::Id, HmtsExecutor::PartitionSpec> by_consumer;
+      for (QueueOp* queue : queues_) {
+        CHECK(queue->fan_out() >= 1) << "dangling queue "
+                                     << queue->DebugString();
+        const Node* consumer =
+            static_cast<const Node*>(queue->outputs()[0].target);
+        HmtsExecutor::PartitionSpec& spec = by_consumer[consumer->id()];
+        spec.name = "ots:" + consumer->name();
+        spec.queues.push_back(queue);
+      }
+      for (auto& [id, spec] : by_consumer) specs.push_back(std::move(spec));
+      break;
+    }
     case ExecutionMode::kHmts: {
       CHECK(partitioning_ != nullptr);
       // Group entry queues by the partition of their consumer.
@@ -271,28 +286,29 @@ Status StreamEngine::BuildExecutors(const EngineOptions& options) {
         }
         by_group[group].push_back(queue);
       }
-      std::vector<HmtsExecutor::PartitionSpec> specs;
       specs.reserve(by_group.size());
       for (auto& [group, group_queues] : by_group) {
         HmtsExecutor::PartitionSpec spec;
         spec.name = "p" + std::to_string(group);
         spec.queues = std::move(group_queues);
         spec.strategy = options.strategy;
-        spec.priority = 0.0;
         specs.push_back(std::move(spec));
       }
-      hmts_ = std::make_unique<HmtsExecutor>(std::move(specs), options.ts,
-                                             options.partition);
-      hmts_->SetRunStatus(&run_status_);
-      // Rebuilds (recovery, SwitchTo) keep the controller's stall
-      // annotation on the fresh level-3 scheduler.
-      if (diagnostic_annotator_ != nullptr) {
-        hmts_->thread_scheduler().SetStallAnnotator(diagnostic_annotator_);
-      }
-      return Status::Ok();
+      break;
     }
   }
-  return Status::Internal("unreachable");
+  // Only HMTS partitions compete for level-3 slots; GTS and OTS threads
+  // are scheduled by the operating system (Section 4.2.2).
+  hmts_ = std::make_unique<HmtsExecutor>(
+      std::move(specs), options.ts, options.partition,
+      /*take_slots=*/options.mode == ExecutionMode::kHmts);
+  hmts_->SetRunStatus(&run_status_);
+  // Rebuilds (recovery, SwitchTo) keep the controller's stall annotation
+  // on the fresh level-3 scheduler.
+  if (diagnostic_annotator_ != nullptr) {
+    hmts_->thread_scheduler().SetStallAnnotator(diagnostic_annotator_);
+  }
+  return Status::Ok();
 }
 
 Status StreamEngine::Configure(const EngineOptions& options) {
@@ -433,8 +449,6 @@ Status StreamEngine::Configure(const EngineOptions& options) {
 Status StreamEngine::Start() {
   if (!configured_) return Status::FailedPrecondition("not configured");
   if (started_) return Status::FailedPrecondition("already started");
-  if (gts_ != nullptr) gts_->Start();
-  if (ots_ != nullptr) ots_->Start();
   if (hmts_ != nullptr) hmts_->Start();
   started_ = true;
   return Status::Ok();
@@ -455,10 +469,7 @@ Result<uint64_t> StreamEngine::ColdRestart() {
 }
 
 bool StreamEngine::AllPartitionsDone() const {
-  if (gts_ != nullptr && !gts_->Done()) return false;
-  if (ots_ != nullptr && !ots_->Done()) return false;
-  if (hmts_ != nullptr && !hmts_->Done()) return false;
-  return true;
+  return hmts_ == nullptr || hmts_->Done();
 }
 
 StreamEngine::WaitOutcome StreamEngine::WaitOnce(const TimePoint* deadline) {
@@ -584,8 +595,6 @@ void StreamEngine::AbortOnFailure() {
 
 std::string StreamEngine::DiagnosticSnapshot() {
   std::vector<Partition*> partitions;
-  if (gts_ != nullptr) partitions = gts_->Partitions();
-  if (ots_ != nullptr) partitions = ots_->Partitions();
   if (hmts_ != nullptr) partitions = hmts_->Partitions();
   std::string report = partitions.empty() ? "  (no scheduled partitions)\n"
                                           : DescribePartitions(partitions);
@@ -686,14 +695,6 @@ int64_t StreamEngine::DroppedElements() const {
 }
 
 void StreamEngine::Stop() {
-  if (gts_ != nullptr) {
-    gts_->RequestStop();
-    gts_->Join();
-  }
-  if (ots_ != nullptr) {
-    ots_->RequestStop();
-    ots_->Join();
-  }
   if (hmts_ != nullptr) {
     hmts_->RequestStop();
     hmts_->Join();
@@ -786,8 +787,6 @@ Status StreamEngine::Deconfigure() {
       op->SetRunStatus(nullptr);
     }
   }
-  gts_.reset();
-  ots_.reset();
   hmts_.reset();
   queues_.clear();
   partitioning_.reset();
@@ -810,18 +809,7 @@ size_t StreamEngine::QueuedElements() const {
 }
 
 size_t StreamEngine::WorkerThreadCount() const {
-  switch (options_.mode) {
-    case ExecutionMode::kSourceDriven:
-      return 0;
-    case ExecutionMode::kDirect:
-    case ExecutionMode::kGts:
-      return 1;
-    case ExecutionMode::kOts:
-      return ots_ != nullptr ? ots_->partitions().size() : 0;
-    case ExecutionMode::kHmts:
-      return hmts_ != nullptr ? hmts_->partition_count() : 0;
-  }
-  return 0;
+  return hmts_ != nullptr ? hmts_->partition_count() : 0;
 }
 
 }  // namespace flexstream

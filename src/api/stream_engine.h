@@ -12,11 +12,15 @@
 //                  Sections 6.4/6.5).
 //   kGts           a queue before every operator; one thread schedules
 //                  them with a pluggable strategy (Section 4.1.1).
-//   kOts           a queue before every operator; one thread per queue
-//                  (Section 4.1.2).
+//   kOts           a queue before every operator; one thread per
+//                  consuming operator (Section 4.1.2).
 //   kHmts          queues placed by a placement algorithm (Algorithm 1 by
 //                  default); one thread per graph partition under the
 //                  level-3 ThreadScheduler (Section 4.2).
+//
+// Every scheduled mode runs on the one HmtsExecutor: GTS and OTS are just
+// partitionings of it whose threads take no level-3 slots ("OTS and GTS
+// are special cases of our architecture", Section 4.2.2).
 //
 // Runtime flexibility (Section 4.2.2): SwitchTo() rebuilds the scheduling
 // configuration on the fly. Switches that keep the queue structure
@@ -42,8 +46,6 @@
 #include "placement/partitioning.h"
 #include "queue/queue_op.h"
 #include "recovery/recovery_manager.h"
-#include "sched/gts.h"
-#include "sched/ots.h"
 #include "util/run_status.h"
 #include "util/status.h"
 
@@ -72,7 +74,9 @@ bool QueuePathModeFromString(const std::string& name, QueuePathMode* mode);
 
 struct EngineOptions {
   ExecutionMode mode = ExecutionMode::kHmts;
-  /// Level-2 strategy for GTS and for every HMTS partition.
+  /// Level-2 strategy for the single GTS/kDirect partition and for every
+  /// HMTS partition. OTS partitions hold one operator's queues and always
+  /// use FIFO.
   StrategyKind strategy = StrategyKind::kFifo;
   /// Queue-placement algorithm (kHmts only).
   PlacementKind placement = PlacementKind::kStallAvoiding;
@@ -257,12 +261,11 @@ class StreamEngine {
   /// Number of worker threads the current configuration uses.
   size_t WorkerThreadCount() const;
 
-  /// Present only in kHmts mode.
+  /// The executor of every scheduled mode (kDirect, kGts, kOts, kHmts);
+  /// nullptr under kSourceDriven or before Configure. Its partitions take
+  /// level-3 slots only under kHmts, but its ThreadScheduler's watchdog
+  /// (stall_events, stall annotator) works in every scheduled mode.
   HmtsExecutor* hmts() { return hmts_.get(); }
-  /// Present in kGts / kDirect modes.
-  GtsExecutor* gts() { return gts_.get(); }
-  /// Present in kOts mode.
-  OtsExecutor* ots() { return ots_.get(); }
 
   /// The partitioning used by the last kHmts configuration.
   const Partitioning* partitioning() const { return partitioning_.get(); }
@@ -311,8 +314,6 @@ class StreamEngine {
   std::unique_ptr<Partitioning> partitioning_;
   std::unique_ptr<RecoveryManager> recovery_;
 
-  std::unique_ptr<GtsExecutor> gts_;
-  std::unique_ptr<OtsExecutor> ots_;
   std::unique_ptr<HmtsExecutor> hmts_;
   int next_queue_id_ = 0;
 };

@@ -6,16 +6,18 @@ namespace flexstream {
 
 HmtsExecutor::HmtsExecutor(std::vector<PartitionSpec> specs,
                            ThreadScheduler::Options ts_options,
-                           Partition::Options partition_options)
+                           Partition::Options partition_options,
+                           bool take_slots)
     : ts_(ts_options) {
   partitions_.reserve(specs.size());
   for (PartitionSpec& spec : specs) {
     auto partition = std::make_unique<Partition>(
         spec.name, std::move(spec.queues), MakeStrategy(spec.strategy),
         partition_options);
-    partition->set_thread_scheduler(&ts_);
-    ts_.Register(partition.get(), spec.priority);
-    priorities_.push_back(spec.priority);
+    if (take_slots) {
+      partition->set_thread_scheduler(&ts_);
+      ts_.Register(partition.get(), spec.priority);
+    }
     partitions_.push_back(std::move(partition));
   }
 }
@@ -43,6 +45,7 @@ void HmtsExecutor::RequestStop() {
 
 void HmtsExecutor::Join() {
   for (auto& p : partitions_) p->Join();
+  started_ = false;
 }
 
 void HmtsExecutor::SetRunStatus(RunStatus* run_status) {
@@ -65,7 +68,6 @@ bool HmtsExecutor::Done() const {
 
 void HmtsExecutor::SetPriority(size_t i, double priority) {
   CHECK_LT(i, partitions_.size());
-  priorities_[i] = priority;
   ts_.SetPriority(partitions_[i].get(), priority);
 }
 

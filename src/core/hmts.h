@@ -32,16 +32,20 @@ class HmtsExecutor {
     double priority = 0.0;
   };
 
+  /// With `take_slots` false the partitions run unscheduled by the TS
+  /// (GTS/OTS: one OS-scheduled thread each) and priorities are inert.
   HmtsExecutor(std::vector<PartitionSpec> specs,
                ThreadScheduler::Options ts_options = {},
-               Partition::Options partition_options = {});
+               Partition::Options partition_options = {},
+               bool take_slots = true);
   ~HmtsExecutor();
 
   /// Starts all partition workers; when the ThreadScheduler options carry
   /// a nonzero watchdog_interval, also starts the no-progress watchdog
-  /// over the partitions.
+  /// over the partitions. Restartable after RequestStop + Join.
   void Start();
   void RequestStop();
+  /// Joins every worker; the executor may then be started again.
   void Join();
   bool Done() const;
 
@@ -63,7 +67,6 @@ class HmtsExecutor {
  private:
   ThreadScheduler ts_;
   std::vector<std::unique_ptr<Partition>> partitions_;
-  std::vector<double> priorities_;
   bool started_ = false;
 };
 

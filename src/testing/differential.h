@@ -80,8 +80,8 @@ struct DiffConfig {
   int chaos_suppress_every_n = 0;
   uint64_t chaos_seed = 1;
 
-  /// Enables the ThreadScheduler no-progress watchdog (kHmts only); chaos
-  /// runs assert it stays clean (stall_events == 0).
+  /// Enables the ThreadScheduler no-progress watchdog (any scheduled
+  /// mode); chaos runs assert it stays clean (stall_events == 0).
   bool watchdog = false;
 
   /// Batch execution path (EngineOptions::emit_batch_size): sources bundle

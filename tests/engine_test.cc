@@ -295,5 +295,41 @@ TEST(StreamEngineTest, JoinQueryUnderAllScheduledModes) {
   }
 }
 
+// Every scheduled mode runs on the one HmtsExecutor: it exists in each
+// mode, owns one worker thread per partition, and restarts after Stop
+// (watchdog included) without losing queued elements.
+class EngineExecutorTest : public ::testing::TestWithParam<ExecutionMode> {};
+
+TEST_P(EngineExecutorTest, RestartAfterStopReturnsEveryResult) {
+  PipelineFixture fx;
+  StreamEngine engine(&fx.graph);
+  EngineOptions opt;
+  opt.mode = GetParam();
+  opt.ts.watchdog_interval = std::chrono::milliseconds(500);
+  ASSERT_TRUE(engine.Configure(opt).ok());
+  ASSERT_NE(engine.hmts(), nullptr);
+  EXPECT_EQ(engine.WorkerThreadCount(), engine.hmts()->partition_count());
+  ASSERT_TRUE(engine.Start().ok());
+  Rng rng(11);
+  fx.PushRandom(&rng, 0, 500);
+  engine.Stop();
+  EXPECT_FALSE(engine.started());
+  ASSERT_TRUE(engine.Start().ok());
+  fx.PushRandom(&rng, 500, 1000);
+  fx.src->Close(1000);
+  engine.WaitUntilFinished();
+  EXPECT_TRUE(engine.RunResult().ok()) << engine.RunResult().message();
+  EXPECT_EQ(fx.sink->size(), fx.expected_results);
+  EXPECT_EQ(engine.hmts()->thread_scheduler().stall_events(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ScheduledModes, EngineExecutorTest,
+    ::testing::Values(ExecutionMode::kDirect, ExecutionMode::kGts,
+                      ExecutionMode::kOts, ExecutionMode::kHmts),
+    [](const ::testing::TestParamInfo<ExecutionMode>& info) {
+      return std::string(ExecutionModeToString(info.param));
+    });
+
 }  // namespace
 }  // namespace flexstream

@@ -1,8 +1,6 @@
-// Histogram, LatencySink, Trace serialization/replay, DOT export.
+// Histogram, LatencySink, DOT export.
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
 
 #include "api/query_builder.h"
 #include "api/stream_engine.h"
@@ -11,7 +9,6 @@
 #include "stats/capacity.h"
 #include "util/histogram.h"
 #include "workload/rate_source.h"
-#include "workload/trace.h"
 
 namespace flexstream {
 namespace {
@@ -98,87 +95,6 @@ TEST(LatencySinkTest, MeasuresQueueingDelay) {
   EXPECT_EQ(h.count(), 10);
   EXPECT_GE(h.min(), 15'000.0) << "must include the 20 ms queueing delay";
   EXPECT_LT(h.max(), 5'000'000.0);
-}
-
-TEST(TraceTest, ValueRoundTrip) {
-  for (const Value& v :
-       {Value(int64_t{-42}), Value(3.25), Value("hello"),
-        Value("with space, comma % and\nnewline"), Value(int64_t{0})}) {
-    Result<Value> back = DeserializeValue(SerializeValue(v));
-    ASSERT_TRUE(back.ok()) << SerializeValue(v);
-    EXPECT_EQ(*back, v);
-  }
-}
-
-TEST(TraceTest, DeserializeRejectsGarbage) {
-  EXPECT_FALSE(DeserializeValue("x:1").ok());
-  EXPECT_FALSE(DeserializeValue("i:abc").ok());
-  EXPECT_FALSE(DeserializeValue("").ok());
-  EXPECT_FALSE(Trace::Deserialize("notanumber i:1").ok());
-  EXPECT_FALSE(Trace::Deserialize("5 s:%zz").ok());
-}
-
-TEST(TraceTest, TraceRoundTrip) {
-  Trace trace;
-  trace.Append(Tuple({Value(1), Value(2.5), Value("a,b c")}, 100));
-  trace.Append(Tuple({Value(-7)}, 200));
-  trace.Append(Tuple(std::vector<Value>{}, 300));
-  Result<Trace> back = Trace::Deserialize(trace.Serialize());
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, trace);
-}
-
-TEST(TraceTest, FileRoundTrip) {
-  Trace trace;
-  for (int i = 0; i < 50; ++i) {
-    trace.Append(Tuple({Value(i), Value("v" + std::to_string(i))}, i * 10));
-  }
-  const std::string path = "/tmp/flexstream_trace_test.txt";
-  ASSERT_TRUE(trace.SaveToFile(path).ok());
-  Result<Trace> back = Trace::LoadFromFile(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, trace);
-  std::remove(path.c_str());
-}
-
-TEST(TraceTest, LoadMissingFileFails) {
-  EXPECT_EQ(Trace::LoadFromFile("/nonexistent/nope.txt").status().code(),
-            StatusCode::kNotFound);
-}
-
-TEST(TraceTest, ReplayIntoSourceReproducesStream) {
-  Trace trace;
-  for (int i = 0; i < 20; ++i) trace.Append(Tuple::OfInt(i, i * 5));
-  QueryGraph g;
-  QueryBuilder qb(&g);
-  Source* src = qb.AddSource("src");
-  CollectingSink* sink = qb.CollectSink(src, "sink");
-  trace.ReplayInto(src);
-  EXPECT_EQ(sink->TakeResults(), trace.tuples());
-  EXPECT_TRUE(sink->closed());
-}
-
-TEST(TraceTest, RecordedStreamReplaysIdentically) {
-  // Record a filtered stream, then replay the trace through a fresh graph
-  // and check the downstream results agree.
-  QueryGraph g1;
-  QueryBuilder qb1(&g1);
-  Source* src1 = qb1.AddSource("src");
-  Node* sel1 = qb1.Select(src1, "sel", Selection::IntAttrLessThan(500));
-  CollectingSink* rec = qb1.CollectSink(sel1, "rec");
-  Rng rng(4);
-  for (int i = 0; i < 300; ++i) {
-    src1->Push(Tuple::OfInt(rng.UniformInt(0, 999), i));
-  }
-  src1->Close(300);
-  Trace trace(rec->TakeResults());
-
-  QueryGraph g2;
-  QueryBuilder qb2(&g2);
-  Source* src2 = qb2.AddSource("src");
-  CountingSink* sink2 = qb2.CountSink(src2, "sink");
-  trace.ReplayInto(src2);
-  EXPECT_EQ(static_cast<size_t>(sink2->count()), trace.size());
 }
 
 TEST(DotExportTest, PlainGraphContainsNodesAndEdges) {

@@ -4,7 +4,7 @@
 //
 //   cmake -B build-tsan -S . -DFLEXSTREAM_SANITIZE=thread
 //   cmake --build build-tsan -j
-//   ctest --test-dir build-tsan --output-on-failure -R 'QueueOp|SpscRing|SyncQueue|Partition|ThreadScheduler|QueueSpscStress'
+//   ctest --test-dir build-tsan --output-on-failure -R 'QueueOp|SpscRing|Partition|ThreadScheduler|QueueSpscStress'
 
 #include <gtest/gtest.h>
 

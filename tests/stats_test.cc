@@ -1,4 +1,5 @@
-// EWMA, OpStats, the capacity model and rate propagation.
+// EWMA, OpStats, the capacity model, rate propagation and the statistics
+// report.
 
 #include <gtest/gtest.h>
 
@@ -7,11 +8,14 @@
 #include "graph/query_graph.h"
 #include "graph/random_dag.h"
 #include "operators/selection.h"
+#include "operators/sink.h"
 #include "operators/source.h"
 #include "operators/union_op.h"
+#include "queue/queue_op.h"
 #include "stats/capacity.h"
 #include "stats/ewma.h"
 #include "stats/op_stats.h"
+#include "stats/report.h"
 
 namespace flexstream {
 namespace {
@@ -186,6 +190,41 @@ TEST(PropagateRatesTest, FailsWithoutSourceMetadata) {
   Selection* s = g.Add<Selection>("s", [](const Tuple&) { return true; });
   ASSERT_TRUE(g.Connect(src, s).ok());
   EXPECT_EQ(PropagateRates(&g).code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(StatsReportTest, ContainsAllNodesAndMeasurements) {
+  QueryGraph g;
+  Source* src = g.Add<Source>("my_source");
+  QueueOp* q = g.Add<QueueOp>("my_queue");
+  Selection* sel = g.Add<Selection>(
+      "my_filter", [](const Tuple& t) { return t.IntAt(0) < 5; });
+  CollectingSink* sink = g.Add<CollectingSink>("my_sink");
+  ASSERT_TRUE(g.Connect(src, q).ok());
+  ASSERT_TRUE(g.Connect(q, sel).ok());
+  ASSERT_TRUE(g.Connect(sel, sink).ok());
+  for (int i = 0; i < 10; ++i) src->Push(Tuple::OfInt(i, i));
+  q->DrainBatch(100);
+  const std::string report = StatsReport(g);
+  EXPECT_NE(report.find("my_source"), std::string::npos);
+  EXPECT_NE(report.find("my_queue"), std::string::npos);
+  EXPECT_NE(report.find("my_filter"), std::string::npos);
+  EXPECT_NE(report.find("my_sink"), std::string::npos);
+  Table table = BuildStatsTable(g);
+  EXPECT_EQ(table.row_count(), 4u);
+}
+
+TEST(StatsReportTest, QueueColumnsOnlyForQueues) {
+  QueryGraph g;
+  Source* src = g.Add<Source>("src");
+  QueueOp* q = g.Add<QueueOp>("q");
+  CollectingSink* sink = g.Add<CollectingSink>("sink");
+  ASSERT_TRUE(g.Connect(src, q).ok());
+  ASSERT_TRUE(g.Connect(q, sink).ok());
+  src->Push(Tuple::OfInt(1, 1));
+  const std::string report = StatsReport(g);
+  // The queue row shows occupancy 1; operator rows show "-".
+  EXPECT_NE(report.find("| 1 "), std::string::npos);
+  EXPECT_NE(report.find("| - "), std::string::npos);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "util/spsc_ring.h"
-#include "util/sync_queue.h"
 
 namespace flexstream {
 namespace {
@@ -218,80 +217,6 @@ TEST(SpscRingTest, ConcurrentProducerConsumer) {
   }
   consumer.join();
   EXPECT_EQ(sum, kCount * (kCount + 1) / 2);
-}
-
-TEST(SyncQueueTest, FifoOrder) {
-  SyncQueue<int> q;
-  q.Push(1);
-  q.Push(2);
-  q.Push(3);
-  EXPECT_EQ(q.TryPop().value(), 1);
-  EXPECT_EQ(q.TryPop().value(), 2);
-  EXPECT_EQ(q.TryPop().value(), 3);
-  EXPECT_FALSE(q.TryPop().has_value());
-}
-
-TEST(SyncQueueTest, CloseRejectsPushButDrains) {
-  SyncQueue<int> q;
-  q.Push(1);
-  q.Close();
-  EXPECT_FALSE(q.Push(2));
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_FALSE(q.Pop().has_value());
-}
-
-TEST(SyncQueueTest, BlockingPopWakesOnPush) {
-  SyncQueue<int> q;
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    q.Push(99);
-  });
-  EXPECT_EQ(q.Pop().value(), 99);
-  producer.join();
-}
-
-TEST(SyncQueueTest, BlockingPopWakesOnClose) {
-  SyncQueue<int> q;
-  std::thread closer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    q.Close();
-  });
-  EXPECT_FALSE(q.Pop().has_value());
-  closer.join();
-}
-
-TEST(SyncQueueTest, MultiProducerMultiConsumer) {
-  SyncQueue<int> q;
-  constexpr int kPerProducer = 10'000;
-  constexpr int kProducers = 4;
-  std::atomic<int64_t> sum{0};
-  std::atomic<int> consumed{0};
-  std::vector<std::thread> threads;
-  for (int c = 0; c < 2; ++c) {
-    threads.emplace_back([&] {
-      while (true) {
-        auto v = q.Pop();
-        if (!v) return;
-        sum.fetch_add(*v);
-        consumed.fetch_add(1);
-      }
-    });
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 1; i <= kPerProducer; ++i) q.Push(i);
-    });
-  }
-  for (auto& t : producers) t.join();
-  while (consumed.load() < kProducers * kPerProducer) {
-    std::this_thread::yield();
-  }
-  q.Close();
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(sum.load(),
-            static_cast<int64_t>(kProducers) * kPerProducer *
-                (kPerProducer + 1) / 2);
 }
 
 }  // namespace
