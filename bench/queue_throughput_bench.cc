@@ -1,17 +1,20 @@
-// Cross-thread queue throughput of the batched SPSC/MPSC QueueOp paths.
+// Cross-thread queue throughput of the QueueOp ring and locked paths.
 //
 // Scenarios (small = single int attribute, string = 32-char payload):
 //   spsc_1p : QueueOp with SetSingleProducer(true) — lock-free ring
 //       enqueue, batched drain, coalesced wakeups.
-//   mpsc_4p : QueueOp MPSC fallback — per-tuple lock enqueue but batched
-//       drain and coalesced wakeups.
+//   mpsc_4p : QueueOp without a ring, four producers — per-tuple locked
+//       enqueue (every push counts in locked_pushes) but batched drain
+//       and coalesced wakeups.
 //
 // The consumer waits on a NotifyWork-shaped listener (mutex + flag +
 // condition variable) so the wakeup cost is represented honestly. Input
 // tuples are materialized before the clock starts: tuple construction is
 // workload, not transfer, and producers hand each tuple to the queue by
 // move through Receive(Tuple&&). Results go to stdout and to
-// BENCH_queue.json (override with --out <path>).
+// BENCH_queue.json (override with --out <path>) with their provenance.
+// bench/ab_pairs.py compares two builds of this bench over alternating
+// runs.
 
 #include <condition_variable>
 #include <fstream>
@@ -31,6 +34,7 @@
 #include "util/table.h"
 
 #include "bench_smoke.h"
+#include "provenance.h"
 
 namespace flexstream {
 namespace {
@@ -182,11 +186,13 @@ RunResult RunQueueOp(int producers, bool string_payload, int64_t total) {
   return r;
 }
 
-void WriteJson(const std::vector<RunResult>& results,
+void WriteJson(const std::vector<RunResult>& results, int reps,
                const std::string& path) {
   std::ofstream out(path);
   CHECK(out.good()) << "cannot write " << path;
-  out << "{\n  \"bench\": \"queue_throughput\",\n  \"runs\": [\n";
+  out << "{\n  \"bench\": \"queue_throughput\",\n"
+      << "  \"provenance\": " << bench::ProvenanceJson() << ",\n"
+      << "  \"reps\": " << reps << ",\n  \"runs\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];
     out << "    {\"scenario\": \"" << r.scenario << "\", \"producers\": "
@@ -252,7 +258,7 @@ int Main(int argc, char** argv) {
   }
   t.Print(std::cout);
 
-  WriteJson(results, out_path);
+  WriteJson(results, reps, out_path);
   return 0;
 }
 

@@ -28,12 +28,10 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/query_builder.h"
@@ -51,6 +49,7 @@
 #include "util/table.h"
 
 #include "bench_smoke.h"
+#include "provenance.h"
 
 namespace flexstream {
 namespace {
@@ -190,26 +189,6 @@ Summary Summarize(const std::vector<double>& xs) {
           *std::max_element(xs.begin(), xs.end())};
 }
 
-std::string GitSha() {
-  // "-dirty" marks a measurement of uncommitted changes on top of HEAD.
-  std::string sha;
-  if (FILE* pipe = popen("git describe --always --dirty --abbrev=40 2>/dev/null", "r")) {
-    char buf[128] = {};
-    if (fgets(buf, sizeof(buf), pipe) != nullptr) sha = buf;
-    pclose(pipe);
-  }
-  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
-    sha.pop_back();
-  }
-  return sha.empty() ? "unavailable" : sha;
-}
-
-#if defined(__clang__)
-constexpr char kCompiler[] = "clang " __clang_version__;
-#else
-constexpr char kCompiler[] = "GNU " __VERSION__;
-#endif
-
 std::string JsonSummary(const Summary& s) {
   return "{\"median\": " + std::to_string(s.median) +
          ", \"min\": " + std::to_string(s.min) +
@@ -292,10 +271,7 @@ int main(int argc, char** argv) {
   std::ofstream out(out_path);
   out << "{\n"
       << "  \"bench\": \"recovery\",\n"
-      << "  \"provenance\": {\"git_sha\": \"" << GitSha()
-      << "\", \"nproc\": " << std::thread::hardware_concurrency()
-      << ", \"compiler\": \"" << kCompiler << "\", \"build_type\": \""
-      << FLEXSTREAM_BUILD_TYPE << "\"},\n"
+      << "  \"provenance\": " << bench::ProvenanceJson() << ",\n"
       << "  \"feed_per_source\": " << kFeedPerSource << ",\n"
       << "  \"reps\": " << kReps << ",\n"
       << "  \"axes\": [\n";

@@ -10,7 +10,6 @@
 #include "operators/sink.h"
 #include "operators/source.h"
 #include "placement/chain_vo_builder.h"
-#include "placement/producer_annotation.h"
 #include "placement/segment_vo_builder.h"
 #include "placement/static_queue_placement.h"
 #include "stats/capacity.h"
@@ -46,16 +45,6 @@ const char* PlacementKindToString(PlacementKind kind) {
   return "unknown";
 }
 
-const char* QueuePathModeToString(QueuePathMode mode) {
-  switch (mode) {
-    case QueuePathMode::kAuto:
-      return "auto";
-    case QueuePathMode::kForceMpsc:
-      return "force-mpsc";
-  }
-  return "unknown";
-}
-
 bool ExecutionModeFromString(const std::string& name, ExecutionMode* mode) {
   for (ExecutionMode m :
        {ExecutionMode::kSourceDriven, ExecutionMode::kDirect,
@@ -73,16 +62,6 @@ bool PlacementKindFromString(const std::string& name, PlacementKind* kind) {
                           PlacementKind::kSegment}) {
     if (name == PlacementKindToString(k)) {
       *kind = k;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool QueuePathModeFromString(const std::string& name, QueuePathMode* mode) {
-  for (QueuePathMode m : {QueuePathMode::kAuto, QueuePathMode::kForceMpsc}) {
-    if (name == QueuePathModeToString(m)) {
-      *mode = m;
       return true;
     }
   }
@@ -335,17 +314,14 @@ Status StreamEngine::Configure(const EngineOptions& options) {
     if (!s.ok()) return s;
     queues_.push_back(queue);
   }
-  // Queues fed by exactly one producing context (one upstream partition or
-  // one source — the engine's one-queue-per-edge layout guarantees this)
-  // get the lock-free SPSC enqueue path, unless the caller pinned the
-  // mutex path (differential testing of both queue implementations).
-  if (options.queue_path == QueuePathMode::kForceMpsc) {
-    for (QueueOp* queue : queues_) queue->SetSingleProducer(false);
-  } else {
-    AnnotateSingleProducerQueues(queues_, partitioning_.get());
+  // One queue per cross edge: each placed queue has exactly one producing
+  // context (its upstream partition or source), so each gets the
+  // lock-free ring — unless queue_ring_capacity is 0. A kShedOldest bound
+  // below drops the ring again.
+  for (QueueOp* queue : queues_) {
+    DCHECK(queue->inputs().size() == 1) << queue->DebugString();
+    queue->SetSingleProducer(true);
   }
-  // Bounds are applied *after* the single-producer annotation so a
-  // kShedOldest bound's forced MPSC path is not re-annotated away.
   if (options.queue_max_elements != 0) {
     for (QueueOp* queue : queues_) {
       queue->SetBound(options.queue_max_elements, options.overload_policy,

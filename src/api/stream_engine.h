@@ -54,23 +54,13 @@ namespace flexstream {
 enum class ExecutionMode { kSourceDriven, kDirect, kGts, kOts, kHmts };
 enum class PlacementKind { kStallAvoiding, kChain, kSegment };
 
-/// Cross-thread enqueue path selection for the queues the engine places.
-///  kAuto      placement annotates single-producer queues, which then use
-///             the lock-free SPSC ring (the production default).
-///  kForceMpsc every queue keeps the mutex-protected MPSC deque even when
-///             the SPSC annotation would apply. Used by the differential
-///             harness to run the same graph down both queue code paths.
-enum class QueuePathMode { kAuto, kForceMpsc };
-
 const char* ExecutionModeToString(ExecutionMode mode);
 const char* PlacementKindToString(PlacementKind kind);
-const char* QueuePathModeToString(QueuePathMode mode);
 
 /// Inverses of the *ToString functions; return false on unknown names.
 /// Used by the differential harness's replay files.
 bool ExecutionModeFromString(const std::string& name, ExecutionMode* mode);
 bool PlacementKindFromString(const std::string& name, PlacementKind* kind);
-bool QueuePathModeFromString(const std::string& name, QueuePathMode* mode);
 
 struct EngineOptions {
   ExecutionMode mode = ExecutionMode::kHmts;
@@ -80,11 +70,10 @@ struct EngineOptions {
   StrategyKind strategy = StrategyKind::kFifo;
   /// Queue-placement algorithm (kHmts only).
   PlacementKind placement = PlacementKind::kStallAvoiding;
-  /// Enqueue-path selection for the placed queues.
-  QueuePathMode queue_path = QueuePathMode::kAuto;
-  /// Ring slots per SPSC queue. Small values (e.g. 2) force the ring-full
-  /// spillover + seq-merge drain path on every few elements — the
-  /// differential harness and spill regression tests rely on that.
+  /// Ring slots per placed queue. Small values (e.g. 2) force the
+  /// ring-full spillover + seq-merge drain path on every few elements; 0
+  /// means no ring, so every push and drain takes the locked path. The
+  /// differential harness and spill regression tests rely on both.
   size_t queue_ring_capacity = QueueOp::kDefaultRingCapacity;
   /// Hard element budget applied to every placed queue; 0 (the default)
   /// keeps queues unbounded. See QueueOp::SetBound.

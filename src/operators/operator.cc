@@ -200,7 +200,7 @@ void Operator::DeliverBatchLocked(TupleBatch&& batch, int port) {
     return;
   }
   const TimePoint start = Now();
-  stats().RecordArrivalBatch(start, static_cast<int64_t>(n));
+  stats().RecordArrival(start, static_cast<int64_t>(n));
   const double saved_child_micros = tl_child_micros;
   tl_child_micros = 0.0;
   size_t processed = n;
@@ -214,7 +214,7 @@ void Operator::DeliverBatchLocked(TupleBatch&& batch, int port) {
   }
   const double total_micros = static_cast<double>(ToMicros(Now() - start));
   const double self_micros = std::max(0.0, total_micros - tl_child_micros);
-  stats().RecordProcessedBatch(self_micros, static_cast<int64_t>(processed));
+  stats().RecordProcessed(self_micros, static_cast<int64_t>(processed));
   tl_child_micros = saved_child_micros + total_micros;
 }
 
@@ -295,7 +295,7 @@ void Operator::ReceiveColumnarLocked(ColumnarBatchPtr batch, int port) {
     return;
   }
   const TimePoint start = Now();
-  stats().RecordArrivalBatch(start, static_cast<int64_t>(n));
+  stats().RecordArrival(start, static_cast<int64_t>(n));
   const double saved_child_micros = tl_child_micros;
   tl_child_micros = 0.0;
   if (simulated_cost_micros_ > 0.0) {
@@ -304,7 +304,7 @@ void Operator::ReceiveColumnarLocked(ColumnarBatchPtr batch, int port) {
   ProcessColumnar(std::move(batch), port);
   const double total_micros = static_cast<double>(ToMicros(Now() - start));
   const double self_micros = std::max(0.0, total_micros - tl_child_micros);
-  stats().RecordProcessedBatch(self_micros, static_cast<int64_t>(n));
+  stats().RecordProcessed(self_micros, static_cast<int64_t>(n));
   tl_child_micros = saved_child_micros + total_micros;
 }
 

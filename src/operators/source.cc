@@ -179,8 +179,8 @@ void Source::PushColumnar(ColumnarBatchPtr batch) {
   ApplyRequestedBatchSize();
   DCHECK(!closed_by_driver_) << DebugString() << " pushed after Close";
   if (StatsCollectionEnabled()) {
-    stats().RecordArrivalBatch(Now(), static_cast<int64_t>(batch->size()));
-    stats().RecordProcessedBatch(0.0, static_cast<int64_t>(batch->size()));
+    stats().RecordArrival(Now(), static_cast<int64_t>(batch->size()));
+    stats().RecordProcessed(0.0, static_cast<int64_t>(batch->size()));
   }
   // Anything accumulated earlier goes first.
   FlushPendingBatch(FlushReason::kOther);

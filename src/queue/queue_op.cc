@@ -17,8 +17,8 @@ std::atomic<uint64_t> g_arrival_seq{0};
 /// by Partition::RunLoop; used for the kBlock self-deadlock bypass.
 thread_local const void* tl_drain_context = nullptr;
 
-/// Reusable drain staging: every locked drain path (and the SPSC batch
-/// path) gathers its barrier-free run into a TupleBatch taken from here,
+/// Reusable drain staging: the locked drain (and the ring's batch path)
+/// gathers its barrier-free run into a TupleBatch taken from here,
 /// so repeated drains reuse the vector's capacity. The scratch is *stolen*
 /// (moved out, restored after) rather than referenced in place, so a
 /// re-entrant drain — a downstream operator draining another queue inside
@@ -134,92 +134,118 @@ void QueueOp::ReceiveColumnar(ColumnarBatchPtr batch, int port) {
   EnqueueColumnar(std::move(batch));
 }
 
-void QueueOp::EnqueueColumnar(ColumnarBatchPtr batch) {
-  const size_t n = batch->size();
-  const bool single = single_producer();
-  if (StatsCollectionEnabled()) {
-    stats().RecordArrivalBatch(Now(), static_cast<int64_t>(n));
+template <typename Fill>
+size_t QueueOp::PushLocked(size_t seqs, int64_t arrivals, bool bounded,
+                           Fill&& fill) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (bounded && Size() >= max_elements_) {
+    // Shed decisions are taken under the queue lock, so racing producers
+    // cannot overshoot the budget between check and push.
+    const OverloadPolicy policy = overload_policy();
+    if (policy == OverloadPolicy::kShedNewest) {
+      dropped_newest_.fetch_add(1, std::memory_order_relaxed);
+      return 0;
+    }
+    if (policy == OverloadPolicy::kShedOldest && !items_.empty() &&
+        items_.front().tuple.is_data()) {
+      // Make room by dropping the head (a kShedOldest queue has no ring,
+      // so the deque head is the queue head). Net size is unchanged, so
+      // the queued count is pre-decremented to balance the caller's
+      // CountQueuedAndMaybeNotify.
+      items_.pop_front();
+      dropped_oldest_.fetch_add(1, std::memory_order_relaxed);
+      queued_items_.fetch_sub(1, std::memory_order_acq_rel);
+    }
+    // kBlock reaches here only after a timed-out (overrun) or bypassed
+    // wait: enqueue anyway — kBlock never drops.
   }
+  if (arrivals > 0 && StatsCollectionEnabled()) {
+    stats().RecordArrival(Now(), arrivals);
+  }
+  const size_t before = items_.size();
+  fill(g_arrival_seq.fetch_add(seqs, std::memory_order_relaxed));
+  const size_t pushed = items_.size() - before;
+  // Every writer of both counters holds mutex_: plain stores need no
+  // read-modify-write.
+  deque_size_.store(items_.size(), std::memory_order_release);
+  locked_pushes_.store(locked_pushes_.load(std::memory_order_relaxed) + pushed,
+                       std::memory_order_relaxed);
+  return pushed;
+}
+
+void QueueOp::EnqueueColumnar(ColumnarBatchPtr batch) {
+  DCHECK(!InputClosed()) << DebugString() << " data after close";
+  const size_t n = batch->size();
   // One boxed item carries the whole batch. It owns a contiguous run of n
   // arrival seqs — the head seq orders the box against neighboring
   // per-tuple items in the consumer's FIFO merge — and accounts for n rows
   // in queued_items_, so Size() and scheduling see the true backlog (the
   // drain paths subtract the full row count when they pop the box).
-  if (single) {
-    DCHECK(!InputClosed()) << DebugString() << " data after close";
-    Item item;
+  Item item;
+  item.col = std::move(batch);
+  if (ring_ != nullptr && !ring_->FullApprox()) {
+    if (StatsCollectionEnabled()) {
+      stats().RecordArrival(Now(), static_cast<int64_t>(n));
+    }
     item.seq = g_arrival_seq.fetch_add(n, std::memory_order_relaxed);
-    item.col = std::move(batch);
-    PushItemSingleProducer(std::move(item));
+    ring_->PushUnchecked(std::move(item));
+    ring_pushes_.store(ring_pushes_.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
   } else {
-    std::lock_guard<std::mutex> lock(mutex_);
-    DCHECK(!eos_enqueued_) << DebugString() << " data after close";
-    // The seq range is drawn under the lock so the deque stays
-    // sequence-ordered even when several producers race.
-    Item item;
-    item.seq = g_arrival_seq.fetch_add(n, std::memory_order_relaxed);
-    item.col = std::move(batch);
-    items_.push_back(std::move(item));
+    PushLocked(n, static_cast<int64_t>(n), /*bounded=*/false,
+               [&](uint64_t seq) {
+                 item.seq = seq;
+                 items_.push_back(std::move(item));
+               });
   }
-  CountQueuedBatchAndMaybeNotify(n, single);
+  CountQueuedAndMaybeNotify(n, /*is_eos=*/false);
 }
 
 void QueueOp::EmitColumnarDrained(ColumnarBatchPtr col) {
   if (StatsCollectionEnabled()) {
-    stats().RecordProcessedBatch(0.0, static_cast<int64_t>(col->size()));
+    stats().RecordProcessed(0.0, static_cast<int64_t>(col->size()));
   }
   EmitColumnar(std::move(col));
 }
 
 void QueueOp::EnqueueBatch(TupleBatch&& batch) {
+  DCHECK(!InputClosed()) << DebugString() << " data after close";
   const size_t n = batch.size();
-  const bool single = single_producer();
-  if (StatsCollectionEnabled()) {
-    stats().RecordArrivalBatch(Now(), static_cast<int64_t>(n));
-  }
-  if (single) {
-    DCHECK(!InputClosed()) << DebugString() << " data after close";
-    // One sequence-range allocation for the whole batch instead of one
-    // atomic RMW per element. The range is claimed in push order, so both
-    // the ring and any spillover stay individually sequence-ordered (as in
-    // Enqueue), and the spilled suffix carries the larger numbers — exactly
-    // what the consumer's seq-merge expects.
-    const uint64_t base = g_arrival_seq.fetch_add(n, std::memory_order_relaxed);
-    const size_t chunk = std::min(ring_->FreeForProducer(n), n);
+  size_t chunk = 0;
+  if (ring_ != nullptr) {
+    // One producer: the stats update and the ring's seq range need no
+    // lock. One range allocation for the ring run instead of one atomic
+    // RMW per element, claimed in push order, so the ring stays
+    // sequence-ordered and any spilled suffix draws larger numbers below —
+    // exactly what the consumer's seq-merge expects.
+    if (StatsCollectionEnabled()) {
+      stats().RecordArrival(Now(), static_cast<int64_t>(n));
+    }
+    chunk = std::min(ring_->FreeForProducer(n), n);
     if (chunk > 0) {
-      // Bulk push: n slot writes, ONE head publish (vs one per element).
+      const uint64_t base =
+          g_arrival_seq.fetch_add(chunk, std::memory_order_relaxed);
+      // Bulk push: chunk slot writes, ONE head publish (vs one each).
       ring_->PushBulkUnchecked(chunk, [&](size_t i) {
         return Item{std::move(batch[i]), base + i};
       });
       ring_pushes_.store(ring_pushes_.load(std::memory_order_relaxed) + chunk,
                          std::memory_order_relaxed);
     }
-    if (chunk < n) {
-      // Ring full: spill the suffix under one lock acquisition.
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (size_t i = chunk; i < n; ++i) {
-        items_.push_back({std::move(batch[i]), base + i});
-      }
-      overflow_count_.fetch_add(n - chunk, std::memory_order_release);
-      locked_pushes_.store(
-          locked_pushes_.load(std::memory_order_relaxed) + (n - chunk),
-          std::memory_order_relaxed);
-    }
-  } else {
-    std::lock_guard<std::mutex> lock(mutex_);
-    DCHECK(!eos_enqueued_) << DebugString() << " data after close";
-    // The range is drawn under the lock, so the deque stays
-    // sequence-ordered even when several producers race (as in Enqueue).
-    const uint64_t base = g_arrival_seq.fetch_add(n, std::memory_order_relaxed);
-    for (size_t i = 0; i < n; ++i) {
-      items_.push_back({std::move(batch[i]), base + i});
-    }
   }
-  CountQueuedBatchAndMaybeNotify(n, single);
+  if (chunk < n) {
+    // Ring full or absent: the rest goes through one lock acquisition.
+    PushLocked(n - chunk, ring_ != nullptr ? 0 : static_cast<int64_t>(n),
+               /*bounded=*/false, [&](uint64_t base) {
+                 for (size_t i = chunk; i < n; ++i) {
+                   items_.push_back({std::move(batch[i]), base + (i - chunk)});
+                 }
+               });
+  }
+  CountQueuedAndMaybeNotify(n, /*is_eos=*/false);
 }
 
 void QueueOp::Enqueue(Tuple&& tuple, bool is_barrier) {
-  const bool single = single_producer();
   // Barriers bypass the bound entirely: never blocked, never shed.
   const bool bounded = max_elements_ != 0 && !is_barrier;
   if (is_barrier) {
@@ -228,57 +254,29 @@ void QueueOp::Enqueue(Tuple&& tuple, bool is_barrier) {
   // kBlock waits *before* taking any lock; the wait ends on freed space,
   // cancel, run failure, or timeout (overrun) — never by dropping data.
   if (bounded && overload_policy() == OverloadPolicy::kBlock) WaitForSpace();
-  if (single) {
-    // Shed-newest is exact here: one producer, so the Size() snapshot
-    // cannot race another admit decision. (Shed-oldest never runs in SPSC
-    // mode — SetBound forces the MPSC path for it.)
-    if (bounded && overload_policy() == OverloadPolicy::kShedNewest &&
-        Size() >= max_elements_) {
-      dropped_newest_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    DCHECK(!InputClosed()) << DebugString() << " data after close";
-    if (StatsCollectionEnabled() && !is_barrier) {
-      stats().RecordArrival(Now());
-    }
-    // Single producer: sequence assignment and push happen in program
-    // order, so both the ring and the spillover deque are individually
-    // sequence-ordered and the consumer's merge stays correct.
-    PushItemSingleProducer(
+  DCHECK(!InputClosed()) << DebugString() << " data after close";
+  // The ring only takes pushes the bound cannot shed: a shedding bound's
+  // decision is PushLocked's, taken under the lock.
+  if (ring_ != nullptr &&
+      !(bounded && overload_policy() != OverloadPolicy::kBlock) &&
+      !ring_->FullApprox()) {
+    if (StatsCollectionEnabled() && !is_barrier) stats().RecordArrival(Now());
+    // FullApprox is producer-exact (only the consumer frees space), so the
+    // push cannot fail. One producer: sequence assignment and push happen
+    // in program order, so the ring stays sequence-ordered.
+    ring_->PushUnchecked(
         {std::move(tuple),
          g_arrival_seq.fetch_add(1, std::memory_order_relaxed)});
-  } else {
-    std::lock_guard<std::mutex> lock(mutex_);
-    DCHECK(!eos_enqueued_) << DebugString() << " data after close";
-    if (bounded && Size() >= max_elements_) {
-      // Shed decisions are taken under the queue lock, so racing MPSC
-      // producers cannot overshoot the budget between check and push.
-      const OverloadPolicy policy = overload_policy();
-      if (policy == OverloadPolicy::kShedNewest) {
-        dropped_newest_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      if (policy == OverloadPolicy::kShedOldest &&
-          !items_.empty() && items_.front().tuple.is_data()) {
-        // Make room by dropping the head; net queue size is unchanged, so
-        // the queued count is pre-decremented to balance the increment in
-        // CountQueuedAndMaybeNotify below.
-        items_.pop_front();
-        dropped_oldest_.fetch_add(1, std::memory_order_relaxed);
-        queued_items_.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      // kBlock reaches here only after a timed-out (overrun) or bypassed
-      // wait: enqueue anyway — kBlock never drops.
-    }
-    if (StatsCollectionEnabled() && !is_barrier) {
-      stats().RecordArrival(Now());
-    }
-    // The sequence number is drawn under the lock so the deque stays
-    // sequence-ordered even when several producers race.
-    items_.push_back({std::move(tuple),
-                      g_arrival_seq.fetch_add(1, std::memory_order_relaxed)});
+    // Single-writer counter (the one producer): load+store avoids the
+    // read-modify-write lock prefix of fetch_add on the hot path.
+    ring_pushes_.store(ring_pushes_.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
+  } else if (PushLocked(1, is_barrier ? 0 : 1, bounded, [&](uint64_t seq) {
+               items_.push_back({std::move(tuple), seq});
+             }) == 0) {
+    return;  // shed
   }
-  CountQueuedAndMaybeNotify(/*is_eos=*/false, single);
+  CountQueuedAndMaybeNotify(1, /*is_eos=*/false);
 }
 
 void QueueOp::SetBound(size_t max_elements, OverloadPolicy policy,
@@ -287,9 +285,9 @@ void QueueOp::SetBound(size_t max_elements, OverloadPolicy policy,
   overload_policy_.store(policy, std::memory_order_release);
   block_timeout_ = block_timeout;
   if (max_elements != 0 && policy == OverloadPolicy::kShedOldest &&
-      single_producer()) {
-    // Only the consumer may pop the SPSC ring head, so shedding the
-    // oldest element requires every item behind the mutex.
+      ring_ != nullptr) {
+    // Only the consumer may pop the ring head, so shedding the oldest
+    // element requires every item in the locked deque.
     SetSingleProducer(false);
   }
 }
@@ -305,8 +303,8 @@ Status QueueOp::SetOverloadPolicyLive(OverloadPolicy policy) {
       overload_policy() == OverloadPolicy::kShedOldest) {
     return Status::InvalidArgument(
         "SetOverloadPolicyLive refused on '" + name() +
-        "': kShedOldest changes the enqueue path (forces MPSC), which is "
-        "only safe while quiescent; use SetBound before the run");
+        "': kShedOldest changes the enqueue path (drops the ring), which "
+        "is only safe while quiescent; use SetBound before the run");
   }
   overload_policy_.store(policy, std::memory_order_release);
   if (policy != OverloadPolicy::kBlock) {
@@ -378,60 +376,31 @@ void QueueOp::CancelProducerWaits() {
 }
 
 void QueueOp::EnqueueEos(const Tuple& tuple) {
-  bool push_outside_lock = false;
-  Item eos_item;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    max_eos_timestamp_ = std::max(max_eos_timestamp_, tuple.timestamp());
-    ++eos_received_;
-    if (eos_received_ < fan_in() || eos_enqueued_) return;
-    eos_enqueued_ = true;
-    eos_queued_flag_.store(true, std::memory_order_release);
-    input_closed_.store(true, std::memory_order_release);
-    eos_item = {Tuple::EndOfStream(max_eos_timestamp_),
-                g_arrival_seq.fetch_add(1, std::memory_order_relaxed)};
-    if (single_producer()) {
-      // The SPSC push may need to spill, which re-takes mutex_ — do it
-      // after unlocking. Safe: the last producer just closed, so no other
-      // enqueue can interleave.
-      push_outside_lock = true;
-    } else {
-      items_.push_back(std::move(eos_item));
-    }
-  }
-  if (push_outside_lock) PushItemSingleProducer(std::move(eos_item));
-  CountQueuedAndMaybeNotify(/*is_eos=*/true, /*single=*/push_outside_lock);
+  // The close bookkeeping runs inside the locked push, so it and the EOS
+  // append share one lock acquisition. A close that is not the last one
+  // appends nothing (its drawn seq is simply unused).
+  const size_t pushed =
+      PushLocked(1, /*arrivals=*/0, /*bounded=*/false, [&](uint64_t seq) {
+        max_eos_timestamp_ = std::max(max_eos_timestamp_, tuple.timestamp());
+        ++eos_received_;
+        if (eos_received_ < fan_in() || eos_enqueued_) return;
+        eos_enqueued_ = true;
+        eos_queued_flag_.store(true, std::memory_order_release);
+        input_closed_.store(true, std::memory_order_release);
+        items_.push_back({Tuple::EndOfStream(max_eos_timestamp_), seq});
+      });
+  if (pushed != 0) CountQueuedAndMaybeNotify(1, /*is_eos=*/true);
 }
 
-void QueueOp::PushItemSingleProducer(Item&& item) {
-  // FullApprox is producer-exact (only the consumer frees space), so a
-  // not-full ring guarantees the push succeeds and the item is never lost.
-  if (!ring_->FullApprox()) {
-    ring_->PushUnchecked(std::move(item));
-    // Single-writer counter (the one producer): load+store avoids the
-    // read-modify-write lock prefix of fetch_add on the hot path.
-    ring_pushes_.store(ring_pushes_.load(std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  items_.push_back(std::move(item));
-  overflow_count_.fetch_add(1, std::memory_order_release);
-  locked_pushes_.store(locked_pushes_.load(std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
-}
-
-void QueueOp::CountQueuedAndMaybeNotify(bool is_eos, bool single) {
+void QueueOp::CountQueuedAndMaybeNotify(size_t n, bool is_eos) {
   const size_t count =
-      queued_items_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (!is_eos) {
-    // `count` equals the data size here: data never follows the EOS item.
-    if (single) {
-      // The producer is the only peak writer in SPSC mode: a plain
-      // read-compare-store replaces the CAS loop.
-      if (count > peak_size_.load(std::memory_order_relaxed)) {
-        peak_size_.store(count, std::memory_order_relaxed);
-      }
+      queued_items_.fetch_add(n, std::memory_order_acq_rel) + n;
+  // `count` equals the data size here: data never follows the EOS item.
+  if (!is_eos && count > peak_size_.load(std::memory_order_relaxed)) {
+    if (ring_ != nullptr) {
+      // A ring means one producer, the only peak writer: a plain store
+      // replaces the CAS loop.
+      peak_size_.store(count, std::memory_order_relaxed);
     } else {
       size_t peak = peak_size_.load(std::memory_order_relaxed);
       while (peak < count && !peak_size_.compare_exchange_weak(
@@ -439,29 +408,12 @@ void QueueOp::CountQueuedAndMaybeNotify(bool is_eos, bool single) {
       }
     }
   }
-  // Coalesced wakeups: only the empty -> non-empty transition needs to wake
-  // the consumer — everything enqueued while the queue is non-empty is
-  // picked up by the drain loop the earlier notification started. EOS
-  // always notifies so idle partitions learn about termination promptly.
-  if (count == 1 || is_eos) NotifyListener();
-}
-
-void QueueOp::CountQueuedBatchAndMaybeNotify(size_t n, bool single) {
-  const size_t count =
-      queued_items_.fetch_add(n, std::memory_order_acq_rel) + n;
-  if (single) {
-    if (count > peak_size_.load(std::memory_order_relaxed)) {
-      peak_size_.store(count, std::memory_order_relaxed);
-    }
-  } else {
-    size_t peak = peak_size_.load(std::memory_order_relaxed);
-    while (peak < count && !peak_size_.compare_exchange_weak(
-                               peak, count, std::memory_order_relaxed)) {
-    }
-  }
-  // Same coalescing as CountQueuedAndMaybeNotify: only the empty ->
-  // non-empty transition (the add started from 0) wakes the consumer.
-  if (count == n) NotifyListener();
+  // Coalesced wakeups: only the empty -> non-empty transition (the add
+  // started from 0) needs to wake the consumer — everything enqueued while
+  // the queue is non-empty is picked up by the drain loop the earlier
+  // notification started. EOS always notifies so idle partitions learn
+  // about termination promptly.
+  if (count == n || is_eos) NotifyListener();
 }
 
 void QueueOp::NotifyListener() {
@@ -482,94 +434,6 @@ void QueueOp::NotifyListener() {
 }
 
 size_t QueueOp::DrainBatch(size_t max_elements) {
-  if (single_producer()) return DrainBatchSingleProducer(max_elements);
-
-  // MPSC: one lock acquisition per barrier-free run. The run is drained
-  // directly into a TupleBatch (stolen from a thread-local so repeated
-  // drains reuse its capacity) and emitted outside the lock — per-tuple or
-  // as one downstream ReceiveBatch, per batch_delivery(). Punctuations end
-  // the run: the accumulated batch is flushed first, then the punctuation
-  // travels the per-tuple path, so a batch never straddles a barrier or
-  // EOS. Barriers are rare (one per checkpoint epoch), so the extra lock
-  // acquisition per barrier is noise.
-  size_t total_taken = 0;
-  for (;;) {
-    TupleBatch batch = StealDrainScratch();
-    bool eos_taken = false;
-    AppTime eos_ts = 0;
-    bool barrier_taken = false;
-    Tuple barrier;
-    ColumnarBatchPtr col_taken;
-    size_t taken = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      while (total_taken + taken < max_elements && !items_.empty()) {
-        Item& front = items_.front();
-        if (front.col != nullptr) [[unlikely]] {
-          // Boxed columnar batch: it cannot join the row batch, so it ends
-          // the run like a punctuation does — except it is data, emitted
-          // (outside the lock) right after the accumulated prefix.
-          col_taken = std::move(front.col);
-          items_.pop_front();
-          taken += col_taken->size();
-          break;
-        }
-        if (front.tuple.is_eos()) {
-          eos_taken = true;
-          eos_ts = front.tuple.timestamp();
-          items_.pop_front();
-          break;
-        }
-        if (front.tuple.is_barrier()) [[unlikely]] {
-          barrier_taken = true;
-          barrier = std::move(front.tuple);
-          items_.pop_front();
-          ++taken;
-          break;
-        }
-        batch.PushBack(std::move(front.tuple));
-        items_.pop_front();
-        ++taken;
-      }
-    }
-    FinishDequeue(taken, eos_taken);
-    total_taken += taken;
-    if (test_fault() == TestFault::kReorderDrainBatch) [[unlikely]] {
-      std::reverse(batch.begin(), batch.end());
-    }
-    EmitDrainedBatch(&batch);
-    RestoreDrainScratch(std::move(batch));
-    if (col_taken != nullptr) {
-      EmitColumnarDrained(std::move(col_taken));
-      if (total_taken < max_elements) continue;
-    }
-    if (barrier_taken) {
-      EmitBarrier(barrier);
-      if (total_taken < max_elements) continue;
-    }
-    if (eos_taken) EmitEos(eos_ts);
-    return total_taken;
-  }
-}
-
-void QueueOp::EmitDrainedBatch(TupleBatch* batch) {
-  if (batch->empty()) return;
-  if (batch_delivery()) {
-    if (StatsCollectionEnabled()) {
-      stats().RecordProcessedBatch(0.0, static_cast<int64_t>(batch->size()));
-    }
-    EmitBatch(std::move(*batch));
-    batch->clear();  // normalize the moved-from state
-    return;
-  }
-  for (Tuple& tuple : *batch) {
-    if (StatsCollectionEnabled()) stats().RecordProcessed(0.0);
-    EmitMove(std::move(tuple));
-  }
-  batch->clear();
-}
-
-size_t QueueOp::DrainBatchSingleProducer(size_t max_elements) {
   size_t taken = 0;
   bool eos_taken = false;
   AppTime eos_ts = 0;
@@ -586,13 +450,14 @@ size_t QueueOp::DrainBatchSingleProducer(size_t max_elements) {
   while (taken < max_elements && !eos_taken) {
     // Order matters: observe the available ring contents (an acquire load
     // of the producer's head index, possibly cached from an earlier one)
-    // BEFORE checking the spillover count. Synchronizing with the head
-    // store makes every spill that preceded the observed ring contents
-    // visible; any spill we still cannot see was produced after all of
-    // them and thus carries a larger sequence number, so draining the
-    // observed run lock-free is order-safe when the spillover reads empty.
-    const size_t avail = ring_->AvailableToConsumer();
-    if (overflow_count_.load(std::memory_order_acquire) != 0) {
+    // BEFORE checking the deque count. Synchronizing with the head store
+    // makes every spill that preceded the observed ring contents visible;
+    // any spill we still cannot see was produced after all of them and
+    // thus carries a larger sequence number, so draining the observed run
+    // lock-free is order-safe when the deque reads empty. EOS always
+    // travels the deque, so the ring holds only data, barriers and boxes.
+    const size_t avail = ring_ != nullptr ? ring_->AvailableToConsumer() : 0;
+    if (deque_size_.load(std::memory_order_acquire) != 0) {
       taken += DrainMergeLocked(max_elements - taken, &eos_taken, &eos_ts);
       continue;
     }
@@ -615,7 +480,6 @@ size_t QueueOp::DrainBatchSingleProducer(size_t max_elements) {
       // space reuse on an unbounded queue.
       TupleBatch batch = StealDrainScratch();
       batch.reserve(run);
-      size_t consumed = 0;
       for (size_t i = 0; i < run; ++i) {
         Item* front = ring_->AtFromFront(i);
         if (front->col != nullptr) {
@@ -628,30 +492,19 @@ size_t QueueOp::DrainBatchSingleProducer(size_t max_elements) {
           queued_items_.fetch_sub(rows - 1, std::memory_order_acq_rel);
           EmitDrainedBatch(&batch);
           EmitColumnarDrained(std::move(col));
-          ++consumed;
           taken += rows;
           continue;
-        }
-        if (front->tuple.is_eos()) {
-          DCHECK(i + 1 == run);  // nothing is ever enqueued after EOS
-          eos_taken = true;
-          eos_ts = front->tuple.timestamp();
-          eos_forwarded_.store(true, std::memory_order_release);
-          ++consumed;
-          break;
         }
         if (front->tuple.is_barrier()) [[unlikely]] {
           EmitDrainedBatch(&batch);
           EmitBarrier(front->tuple);
-          ++consumed;
           ++taken;
           continue;
         }
         batch.PushBack(std::move(front->tuple));
-        ++consumed;
         ++taken;
       }
-      ring_->PopFrontBulk(consumed);
+      ring_->PopFrontBulk(run);
       EmitDrainedBatch(&batch);
       RestoreDrainScratch(std::move(batch));
       continue;
@@ -671,14 +524,6 @@ size_t QueueOp::DrainBatchSingleProducer(size_t max_elements) {
         taken += rows;
         continue;
       }
-      if (front->tuple.is_eos()) {
-        DCHECK(run == 1);  // nothing is ever enqueued after EOS
-        eos_taken = true;
-        eos_ts = front->tuple.timestamp();
-        eos_forwarded_.store(true, std::memory_order_release);
-        ring_->PopFront();
-        break;
-      }
       if (front->tuple.is_barrier()) [[unlikely]] {
         EmitBarrier(front->tuple);
         ring_->PopFront();
@@ -688,7 +533,7 @@ size_t QueueOp::DrainBatchSingleProducer(size_t max_elements) {
       // No lock is held on this path, so emit straight out of the ring
       // slot — the producer cannot rewrite it until PopFront advances the
       // tail, and downstream adopts the payload in place. No scratch
-      // staging, two moves per element fewer than the locked paths.
+      // staging, two moves per element fewer than the locked path.
       if (direct != nullptr) {
         SetDeliverySender(this);
         direct->Receive(std::move(front->tuple), direct_port);
@@ -707,13 +552,35 @@ size_t QueueOp::DrainBatchSingleProducer(size_t max_elements) {
   return taken;
 }
 
+void QueueOp::EmitDrainedBatch(TupleBatch* batch) {
+  if (batch->empty()) return;
+  if (batch_delivery()) {
+    if (StatsCollectionEnabled()) {
+      stats().RecordProcessed(0.0, static_cast<int64_t>(batch->size()));
+    }
+    EmitBatch(std::move(*batch));
+    batch->clear();  // normalize the moved-from state
+    return;
+  }
+  for (Tuple& tuple : *batch) {
+    if (StatsCollectionEnabled()) stats().RecordProcessed(0.0);
+    EmitMove(std::move(tuple));
+  }
+  batch->clear();
+}
+
 size_t QueueOp::DrainMergeLocked(size_t max_elements, bool* eos_taken,
                                  AppTime* eos_ts) {
-  // Spillover present: merge ring and deque by sequence number under the
-  // lock until the spillover is drained, gathering directly into a
-  // TupleBatch and emitting outside the lock (same stealing discipline as
-  // the MPSC path). A punctuation ends the merge run — the caller's drain
-  // loop re-enters while spillover remains.
+  // The deque is non-empty: merge it with the ring (if any) by sequence
+  // number under the lock until it is drained, gathering directly into a
+  // TupleBatch (stolen from a thread-local so repeated drains reuse its
+  // capacity) and emitting outside the lock — per-tuple or as one
+  // downstream ReceiveBatch, per batch_delivery(). A punctuation or a
+  // boxed batch ends the merge run, so a batch never straddles a barrier
+  // or EOS; the caller's drain loop re-enters while the deque is
+  // non-empty. Barriers are rare (one per checkpoint epoch), so the extra
+  // lock acquisition per barrier is noise.
+  SpscRing<Item>* const ring = ring_.get();
   TupleBatch batch = StealDrainScratch();
   bool barrier_taken = false;
   Tuple barrier;
@@ -722,37 +589,36 @@ size_t QueueOp::DrainMergeLocked(size_t max_elements, bool* eos_taken,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     while (taken < max_elements && !items_.empty()) {
-      const Item* rf = ring_->Front();
-      Item item;
-      if (rf != nullptr && rf->seq < items_.front().seq) {
-        const bool popped = ring_->PopInto(&item);
-        DCHECK(popped);
-      } else {
-        item = std::move(items_.front());
-        items_.pop_front();
-        overflow_count_.fetch_sub(1, std::memory_order_release);
-      }
+      Item* const rf = ring != nullptr ? ring->FrontMutable() : nullptr;
+      const bool from_ring = rf != nullptr && rf->seq < items_.front().seq;
+      Item& item = from_ring ? *rf : items_.front();
+      bool stop = true;  // a punctuation or boxed batch ends the run
       if (item.col != nullptr) [[unlikely]] {
-        // Boxed columnar batch: ends the merge run like a punctuation
-        // (it cannot join the row batch), emitted after the prefix below.
+        // Boxed columnar batch: it cannot join the row batch, so it is
+        // emitted (outside the lock) right after the accumulated prefix.
         col_taken = std::move(item.col);
         taken += col_taken->size();
-        break;
-      }
-      if (item.tuple.is_eos()) {
+      } else if (item.tuple.is_eos()) {
         *eos_taken = true;
         *eos_ts = item.tuple.timestamp();
-        break;
-      }
-      if (item.tuple.is_barrier()) [[unlikely]] {
+      } else if (item.tuple.is_barrier()) [[unlikely]] {
         barrier_taken = true;
         barrier = std::move(item.tuple);
         ++taken;
-        break;
+      } else {
+        batch.PushBack(std::move(item.tuple));
+        ++taken;
+        stop = false;
       }
-      batch.PushBack(std::move(item.tuple));
-      ++taken;
+      if (from_ring) {
+        ring->PopFront();
+      } else {
+        items_.pop_front();
+      }
+      if (stop) break;
     }
+    // One deque-size publish per run, not one atomic RMW per element.
+    deque_size_.store(items_.size(), std::memory_order_release);
   }
   FinishDequeue(taken, *eos_taken);
 
@@ -776,17 +642,15 @@ void QueueOp::FinishDequeue(size_t taken, bool eos_taken) {
 }
 
 uint64_t QueueOp::HeadSeq() const {
-  if (single_producer()) {
-    uint64_t best = kNoSeq;
+  uint64_t best = kNoSeq;
+  if (ring_ != nullptr) {
     if (const Item* front = ring_->Front()) best = front->seq;
-    if (overflow_count_.load(std::memory_order_acquire) != 0) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!items_.empty()) best = std::min(best, items_.front().seq);
-    }
-    return best;
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  return items_.empty() ? kNoSeq : items_.front().seq;
+  if (deque_size_.load(std::memory_order_acquire) != 0) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!items_.empty()) best = std::min(best, items_.front().seq);
+  }
+  return best;
 }
 
 void QueueOp::SetEnqueueListener(std::function<void()> listener) {
@@ -812,10 +676,11 @@ void QueueOp::SetSingleProducer(bool single_producer) {
   std::lock_guard<std::mutex> lock(mutex_);
   DCHECK(queued_items_.load(std::memory_order_relaxed) == 0)
       << DebugString() << " enqueue-path switch on a non-empty queue";
-  if (single_producer && ring_ == nullptr) {
+  if (!single_producer || ring_capacity_ == 0) {
+    ring_.reset();
+  } else if (ring_ == nullptr) {
     ring_ = std::make_unique<SpscRing<Item>>(ring_capacity_);
   }
-  single_producer_.store(single_producer, std::memory_order_release);
 }
 
 void QueueOp::Reset() {
@@ -828,7 +693,7 @@ void QueueOp::Reset() {
   }
   queued_items_.store(0, std::memory_order_relaxed);
   eos_queued_flag_.store(false, std::memory_order_relaxed);
-  overflow_count_.store(0, std::memory_order_relaxed);
+  deque_size_.store(0, std::memory_order_relaxed);
   peak_size_.store(0, std::memory_order_relaxed);
   input_closed_.store(false, std::memory_order_relaxed);
   eos_forwarded_.store(false, std::memory_order_relaxed);

@@ -9,17 +9,17 @@
 //    partition that owns the queue — and pushes dequeued elements into the
 //    downstream subgraph with DI.
 //
-// Two enqueue paths (see DESIGN.md, "Queue fast path"):
-//  * MPSC (default): a mutex-protected deque. Safe for any number of
-//    producer threads.
-//  * SPSC (opt-in via SetSingleProducer): a lock-free SpscRing carries the
-//    common case; when the ring is full the producer spills to the
-//    mutex-protected deque. The consumer merges ring and spillover by
-//    global arrival sequence number, so FIFO order — including the
-//    cross-queue total order FIFO scheduling relies on — is preserved.
-//    Placement enables this automatically for queues fed by exactly one
-//    producing execution context (one upstream partition or one source),
-//    the common case after Algorithm 1 stall-avoiding placement.
+// One locked path with an optional ring in front (see DESIGN.md, "Queue
+// fast path"): every queue keeps a mutex-protected deque ordered by global
+// arrival sequence number. A single-producer queue (SetSingleProducer)
+// puts a lock-free SpscRing in front of it; the producer spills to the
+// deque only when the ring is full, and the consumer merges the two by
+// sequence number, so FIFO order — including the cross-queue total order
+// FIFO scheduling relies on — is preserved. A queue without a ring (the
+// default, ring capacity 0, or a kShedOldest bound) takes every push
+// through the deque and is safe for any number of producer threads. The
+// engine places one queue per cross edge, so every placed queue has one
+// producer and gets a ring.
 //
 // Wakeup coalescing: the enqueue listener fires only on the
 // empty -> non-empty transition (plus on EOS enqueue), so a partition's
@@ -64,8 +64,8 @@ namespace flexstream {
 ///              bound instead of deadlocking and is counted.
 ///  kShedNewest load shedding: the incoming element is dropped.
 ///  kShedOldest load shedding: the oldest queued element is dropped to
-///              make room for the incoming one. Requires the MPSC path
-///              (only the consumer may touch the SPSC ring head), which
+///              make room for the incoming one. Requires a queue without
+///              a ring (only the consumer may touch the ring head), which
 ///              SetBound enforces.
 /// EOS punctuations are never shed and never blocked — termination must
 /// propagate even under overload.
@@ -89,7 +89,8 @@ class QueueOp final : public Operator {
   /// Sequence number reported for an empty queue.
   static constexpr uint64_t kNoSeq = std::numeric_limits<uint64_t>::max();
 
-  /// Ring slots allocated when the SPSC fast path is enabled.
+  /// Ring slots allocated by SetSingleProducer(true). A capacity of 0
+  /// means no ring: every push takes the locked path.
   static constexpr size_t kDefaultRingCapacity = 1024;
 
   explicit QueueOp(std::string name)
@@ -109,8 +110,8 @@ class QueueOp final : public Operator {
   void Receive(Tuple&& tuple, int port) override;
 
   /// Batch enqueue (DESIGN.md §11): adopts every element of `batch`.
-  /// Unbounded queues take a bulk path — one stats update, one lock
-  /// acquisition (MPSC) or a straight run of ring pushes (SPSC), and one
+  /// Unbounded queues take a bulk path — one stats update, a straight run
+  /// of ring pushes plus at most one lock acquisition for the rest, and one
   /// queued-count/notify update for the whole batch. Bounded queues
   /// unbundle into per-element Enqueue calls so every admit/shed/block
   /// decision and its counters see elements one at a time, exactly as the
@@ -135,11 +136,12 @@ class QueueOp final : public Operator {
 
   /// Dequeues up to `max_elements` data elements (plus a trailing EOS if it
   /// becomes due) and pushes them downstream in the calling thread. On the
-  /// locked paths (MPSC, SPSC spill merge) the lock is taken once per
-  /// barrier-free run — elements are drained directly into a TupleBatch
-  /// and emitted outside the lock; on the lock-free SPSC path elements are
-  /// emitted straight from the ring when delivering per-tuple, or gathered
-  /// into a TupleBatch when batch delivery is enabled. Punctuations always
+  /// locked path (the deque, merged with the ring by sequence number) the
+  /// lock is taken once per barrier-free run — elements are drained
+  /// directly into a TupleBatch and emitted outside the lock; while the
+  /// deque is empty, ring elements are emitted lock-free straight from the
+  /// ring when delivering per-tuple, or gathered into a TupleBatch when
+  /// batch delivery is enabled. Punctuations always
   /// split the run: the accumulated batch is flushed first, then the
   /// barrier/EOS travels the per-tuple path.
   /// Returns the number of data elements drained. Single-consumer.
@@ -198,8 +200,9 @@ class QueueOp final : public Operator {
   /// Global arrival sequence number of the head element, or kNoSeq when
   /// empty. FIFO scheduling picks the queue with the smallest head
   /// sequence, which totally orders elements across all queues by arrival.
-  /// In SPSC mode this must be called from the consumer thread (it peeks
-  /// the ring), which is where every scheduling strategy runs.
+  /// Must be called from the consumer thread (it peeks the ring and reads
+  /// the consumer-maintained deque count), which is where every
+  /// scheduling strategy runs.
   uint64_t HeadSeq() const;
 
   /// Installs a callback invoked (outside the queue lock) when the queue
@@ -223,7 +226,7 @@ class QueueOp final : public Operator {
   /// caps one kBlock producer wait — on expiry the element is enqueued
   /// anyway (counted in block_timeouts()), so accidental partition cycles
   /// cannot deadlock. Call while the queue is quiescent, before the engine
-  /// starts. kShedOldest forces the MPSC enqueue path.
+  /// starts. kShedOldest drops the ring (see OverloadPolicy).
   void SetBound(size_t max_elements, OverloadPolicy policy,
                 Duration block_timeout = std::chrono::seconds(2));
   size_t max_elements() const { return max_elements_; }
@@ -235,8 +238,8 @@ class QueueOp final : public Operator {
   /// Live overload-policy flip on an already-bounded queue — the SLO
   /// controller's rung-4 actuation (flip to shedding last, flip back on
   /// de-escalation). Thread-safe against concurrent producers/consumer;
-  /// only kBlock <-> kShedNewest are allowed live (kShedOldest changes the
-  /// enqueue path, which must not happen under running producers).
+  /// only kBlock <-> kShedNewest are allowed live (kShedOldest drops the
+  /// ring, which must not happen under running producers).
   /// Producers parked in a kBlock wait when the policy leaves kBlock are
   /// woken and enqueue their element (a bounded overrun — in-flight
   /// elements are never retroactively shed); subsequent enqueues shed.
@@ -301,25 +304,23 @@ class QueueOp final : public Operator {
   static void SetCurrentSlotYielder(SlotYielder* yielder);
   static SlotYielder* CurrentSlotYielder();
 
-  /// Selects the enqueue path. `true` promises that at most one thread at
-  /// a time calls Receive (one producing partition or source); the queue
-  /// then routes data through the lock-free SPSC ring. `false` (default)
-  /// uses the mutex-protected deque. Must be called while the queue is
-  /// empty and no producer/consumer is active (e.g. right after placement,
-  /// before the engine starts).
+  /// `true` promises that at most one thread at a time calls Receive (one
+  /// producing partition or source); the queue then puts a lock-free ring
+  /// of the constructor's capacity in front of its deque, unless that
+  /// capacity is 0. `false` (the default) drops the ring. Must be called
+  /// while the queue is empty and no producer/consumer is active (e.g.
+  /// right after placement, before the engine starts), and before
+  /// SetBound, whose kShedOldest drops the ring again.
   void SetSingleProducer(bool single_producer);
-  bool single_producer() const {
-    return single_producer_.load(std::memory_order_acquire);
-  }
+  bool has_ring() const { return ring_ != nullptr; }
 
   /// Deliberate fault injection for the differential correctness harness
   /// (src/testing/differential.h). kReorderDrainBatch emits each drained
-  /// batch in *reverse* order on the locked drain paths (MPSC and SPSC
-  /// spill merge), violating the FIFO contract; the harness's mutation
-  /// test asserts its sequence oracle catches exactly this. The fault is
-  /// a no-op on the lock-free SPSC ring path (which emits straight from
-  /// ring slots), so callers force the MPSC path when injecting. Never
-  /// set outside tests.
+  /// batch in *reverse* order on the locked drain path, violating the
+  /// FIFO contract; the harness's mutation test asserts its sequence
+  /// oracle catches exactly this. The fault is a no-op on the lock-free
+  /// ring path (which emits straight from ring slots), so callers use a
+  /// ring capacity of 0 when injecting. Never set outside tests.
   enum class TestFault { kNone, kReorderDrainBatch };
   void SetTestFault(TestFault fault) {
     test_fault_.store(fault, std::memory_order_release);
@@ -328,9 +329,10 @@ class QueueOp final : public Operator {
     return test_fault_.load(std::memory_order_acquire);
   }
 
-  /// Diagnostics: enqueues that took the lock-free ring / the mutex path
-  /// (spillover or MPSC), and listener invocations. Used by tests and the
-  /// throughput bench to verify which path ran.
+  /// Diagnostics: items pushed through the lock-free ring / through the
+  /// lock (ring-full spill, ring-less queues, EOS), and listener
+  /// invocations. Used by tests and the throughput bench to verify which
+  /// path ran.
   int64_t ring_pushes() const {
     return ring_pushes_.load(std::memory_order_relaxed);
   }
@@ -359,8 +361,9 @@ class QueueOp final : public Operator {
   };
 
   void Enqueue(Tuple&& tuple, bool is_barrier = false);
-  /// Bulk enqueue for an unbounded queue: one stats update, one lock (or a
-  /// run of ring pushes), one queued-count bump for the whole batch.
+  /// Bulk enqueue for an unbounded queue: one stats update, a run of ring
+  /// pushes and at most one lock for the rest, one queued-count bump for
+  /// the whole batch.
   void EnqueueBatch(TupleBatch&& batch);
   /// Boxes a columnar batch into one queue item (unbounded + batch
   /// delivery only; see ReceiveColumnar).
@@ -375,32 +378,32 @@ class QueueOp final : public Operator {
   /// consumer-side space_available notification). Cheap when nobody
   /// waits — one relaxed load.
   void NotifySpaceFreed();
-  /// SPSC producer path: ring first, spill to the locked deque when full.
-  void PushItemSingleProducer(Item&& item);
-  /// Bumps the queued-item count, maintains the peak, and fires the
+  /// The one locked push, shared by ring-full spill, ring-less enqueue,
+  /// kShedOldest and EOS. Under mutex_ it takes the bound's shed decision
+  /// (when `bounded`), records `arrivals` in the stats, draws `seqs`
+  /// arrival numbers — under the lock, so racing producers keep the deque
+  /// sequence-ordered — and calls `fill(first_seq)` to append the items.
+  /// Returns the number of items appended (0 when the element was shed).
+  template <typename Fill>
+  size_t PushLocked(size_t seqs, int64_t arrivals, bool bounded, Fill&& fill);
+  /// Bumps the queued-item count by `n`, maintains the peak, and fires the
   /// listener on the empty -> non-empty transition (or unconditionally
   /// for EOS).
-  void CountQueuedAndMaybeNotify(bool is_eos, bool single);
-  /// Batch analogue: bumps the queued count by `n` at once and notifies on
-  /// the empty -> non-empty transition (count == n after the add).
-  void CountQueuedBatchAndMaybeNotify(size_t n, bool single);
+  void CountQueuedAndMaybeNotify(size_t n, bool is_eos);
   void NotifyListener();
   /// Emits a drained barrier-free run downstream: as one ReceiveBatch call
   /// when batch delivery is enabled, else per-tuple EmitMove. Leaves
   /// `batch` empty either way.
   void EmitDrainedBatch(TupleBatch* batch);
-  /// SPSC consumer path: drains observed ring runs lock-free and emits
-  /// straight from each pop (no lock is held, so no scratch staging);
-  /// falls into DrainMergeLocked whenever spillover is present.
-  size_t DrainBatchSingleProducer(size_t max_elements);
-  /// Merges ring and spillover deque by sequence number under the lock,
-  /// draining directly into a TupleBatch and emitting outside the lock.
-  /// A punctuation ends the merge run (the caller's loop re-enters while
-  /// spillover remains). Returns the number of data items taken (barriers
-  /// included) and sets `eos_taken`/`eos_ts`.
+  /// The one locked drain: merges the ring (if any) and the deque by
+  /// sequence number under the lock, draining directly into a TupleBatch
+  /// and emitting outside the lock. A punctuation ends the merge run (the
+  /// caller's loop re-enters while the deque is non-empty). Returns the
+  /// number of data items taken (barriers included) and sets
+  /// `eos_taken`/`eos_ts`.
   size_t DrainMergeLocked(size_t max_elements, bool* eos_taken,
                           AppTime* eos_ts);
-  /// Post-dequeue bookkeeping shared by the locked paths: drops the
+  /// Post-dequeue bookkeeping of the locked drain: drops the
   /// dequeued items (incl. a taken EOS) from the queued count and marks
   /// EOS as forwarded.
   void FinishDequeue(size_t taken, bool eos_taken);
@@ -427,25 +430,26 @@ class QueueOp final : public Operator {
   std::condition_variable space_cv_;
 
   // --- shared, lock-free ------------------------------------------------
-  std::atomic<bool> single_producer_{false};
   std::atomic<size_t> queued_items_{0};  // data + the queued EOS item
   std::atomic<bool> eos_queued_flag_{false};  // mirror of eos_enqueued_
-  std::atomic<size_t> overflow_count_{0};  // items_ size in SPSC mode
   std::atomic<size_t> peak_size_{0};
   std::atomic<bool> input_closed_{false};
   std::atomic<bool> eos_forwarded_{false};
   std::atomic<int64_t> ring_pushes_{0};
-  std::atomic<int64_t> locked_pushes_{0};
   std::atomic<int64_t> notifications_{0};
   std::atomic<TestFault> test_fault_{TestFault::kNone};
 
-  // --- SPSC fast path ---------------------------------------------------
+  // --- lock-free fast path (single-producer queues only) ---------------
   std::unique_ptr<SpscRing<Item>> ring_;
 
-  // --- mutex-protected slow path (MPSC deque / SPSC spillover + EOS
-  // bookkeeping) ---------------------------------------------------------
+  // --- the locked path: seq-ordered deque + EOS bookkeeping -------------
   mutable std::mutex mutex_;
   std::deque<Item> items_;
+  // Written only under mutex_, beside the deque the lock holder is already
+  // writing (measured: the cheapest spot for the ring-less push path);
+  // deque_size_ mirrors items_.size() for the consumer's lock-free check.
+  std::atomic<size_t> deque_size_{0};
+  std::atomic<int64_t> locked_pushes_{0};
   size_t eos_received_ = 0;
   bool eos_enqueued_ = false;
   AppTime max_eos_timestamp_ = 0;

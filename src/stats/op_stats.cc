@@ -4,27 +4,7 @@
 
 namespace flexstream {
 
-void OpStats::RecordArrival(TimePoint now) {
-  arrivals_.fetch_add(1, std::memory_order_relaxed);
-  if (has_last_arrival_) {
-    const double gap =
-        static_cast<double>(ToMicros(now - last_arrival_));
-    gap_ewma_.Add(gap);
-    interarrival_micros_.store(gap_ewma_.value(), std::memory_order_relaxed);
-  }
-  has_last_arrival_ = true;
-  last_arrival_ = now;
-}
-
-void OpStats::RecordProcessed(double micros) {
-  processed_.fetch_add(1, std::memory_order_relaxed);
-  cost_ewma_.Add(micros);
-  cost_micros_.store(cost_ewma_.value(), std::memory_order_relaxed);
-  busy_micros_.store(busy_micros_.load(std::memory_order_relaxed) + micros,
-                     std::memory_order_relaxed);
-}
-
-void OpStats::RecordArrivalBatch(TimePoint now, int64_t n) {
+void OpStats::RecordArrival(TimePoint now, int64_t n) {
   if (n <= 0) return;
   arrivals_.fetch_add(n, std::memory_order_relaxed);
   if (has_last_arrival_) {
@@ -39,7 +19,7 @@ void OpStats::RecordArrivalBatch(TimePoint now, int64_t n) {
   last_arrival_ = now;
 }
 
-void OpStats::RecordProcessedBatch(double total_micros, int64_t n) {
+void OpStats::RecordProcessed(double total_micros, int64_t n) {
   if (n <= 0) return;
   processed_.fetch_add(n, std::memory_order_relaxed);
   cost_ewma_.Add(total_micros / static_cast<double>(n));

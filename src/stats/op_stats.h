@@ -24,24 +24,20 @@ class OpStats {
   OpStats(const OpStats&) = delete;
   OpStats& operator=(const OpStats&) = delete;
 
-  /// Records the arrival of a data element (updates d(v)). `now` is passed
-  /// in so the caller can reuse one clock read across several updates.
-  void RecordArrival(TimePoint now);
-
-  /// Records one processed element costing `micros` of CPU (updates c(v)).
-  void RecordProcessed(double micros);
-
-  // Batch analogues (DESIGN.md §11): record `n` elements with one clock
-  // read and one EWMA update each, so batch delivery amortizes the stats
+  // Both recorders take an element count `n` so a batch (DESIGN.md §11)
+  // costs one clock read and one EWMA update, amortizing the stats
   // bookkeeping too. The per-element estimates stay meaningful — the
   // batch's gap/cost is spread evenly across its elements, keeping d(v)
   // and c(v) per-element as Section 5.1 requires.
 
-  /// Records the arrival of `n` data elements delivered as one batch.
-  void RecordArrivalBatch(TimePoint now, int64_t n);
+  /// Records the arrival of `n` data elements delivered together (updates
+  /// d(v)). `now` is passed in so the caller can reuse one clock read
+  /// across several updates.
+  void RecordArrival(TimePoint now, int64_t n = 1);
 
-  /// Records `n` processed elements costing `total_micros` of CPU in total.
-  void RecordProcessedBatch(double total_micros, int64_t n);
+  /// Records `n` processed elements costing `total_micros` of CPU in total
+  /// (updates c(v)).
+  void RecordProcessed(double total_micros, int64_t n = 1);
 
   /// Records `n` emitted output elements (updates selectivity).
   void RecordEmitted(int64_t n = 1);

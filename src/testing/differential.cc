@@ -85,7 +85,6 @@ EngineOptions EngineOptionsForConfig(const DiffConfig& config) {
   options.mode = config.mode;
   options.strategy = config.strategy;
   options.placement = config.placement;
-  options.queue_path = config.queue_path;
   options.queue_ring_capacity = config.ring_capacity;
   options.queue_max_elements = config.queue_max_elements;
   options.overload_policy = config.overload_policy;
@@ -206,9 +205,6 @@ std::string DiffConfig::Name() const {
   if (mode == ExecutionMode::kHmts) {
     os << "+" << PlacementKindToString(placement);
   }
-  if (queue_path != QueuePathMode::kAuto) {
-    os << "+" << QueuePathModeToString(queue_path);
-  }
   if (ring_capacity != QueueOp::kDefaultRingCapacity) {
     os << "+ring" << ring_capacity;
   }
@@ -253,13 +249,11 @@ DiffConfig GoldenConfig() {
 std::vector<DiffConfig> DefaultConfigMatrix() {
   std::vector<DiffConfig> configs;
   auto add = [&configs](ExecutionMode mode, StrategyKind strategy,
-                        PlacementKind placement, QueuePathMode queue_path,
-                        size_t ring, bool burst) {
+                        PlacementKind placement, size_t ring, bool burst) {
     DiffConfig config;
     config.mode = mode;
     config.strategy = strategy;
     config.placement = placement;
-    config.queue_path = queue_path;
     config.ring_capacity = ring;
     config.feed_before_start = burst;
     configs.push_back(config);
@@ -268,83 +262,68 @@ std::vector<DiffConfig> DefaultConfigMatrix() {
   const auto kStall = PlacementKind::kStallAvoiding;
 
   // Single-threaded DI with a queue per source.
-  add(ExecutionMode::kDirect, StrategyKind::kFifo, kStall,
-      QueuePathMode::kAuto, kRing, false);
+  add(ExecutionMode::kDirect, StrategyKind::kFifo, kStall, kRing, false);
 
-  // GTS: every strategy, down both queue paths.
+  // GTS: every strategy, with a ring and ring-less (ring capacity 0, every
+  // push and drain on the locked path).
   for (StrategyKind strategy :
        {StrategyKind::kFifo, StrategyKind::kRoundRobin, StrategyKind::kChain,
         StrategyKind::kSegment}) {
-    add(ExecutionMode::kGts, strategy, kStall, QueuePathMode::kAuto, kRing,
-        false);
-    add(ExecutionMode::kGts, strategy, kStall, QueuePathMode::kForceMpsc,
-        kRing, false);
+    add(ExecutionMode::kGts, strategy, kStall, kRing, false);
+    add(ExecutionMode::kGts, strategy, kStall, 0, false);
   }
   // GTS with a tiny ring: every enqueue run exercises spillover and the
   // seq-merge drain; plus the burst-arrival variant.
-  add(ExecutionMode::kGts, StrategyKind::kFifo, kStall, QueuePathMode::kAuto,
-      2, false);
-  add(ExecutionMode::kGts, StrategyKind::kFifo, kStall, QueuePathMode::kAuto,
-      kRing, true);
+  add(ExecutionMode::kGts, StrategyKind::kFifo, kStall, 2, false);
+  add(ExecutionMode::kGts, StrategyKind::kFifo, kStall, kRing, true);
 
   // OTS: strategy is irrelevant (one thread per queue) — vary the paths.
-  add(ExecutionMode::kOts, StrategyKind::kFifo, kStall, QueuePathMode::kAuto,
-      kRing, false);
-  add(ExecutionMode::kOts, StrategyKind::kFifo, kStall,
-      QueuePathMode::kForceMpsc, kRing, false);
-  add(ExecutionMode::kOts, StrategyKind::kFifo, kStall, QueuePathMode::kAuto,
-      2, false);
-  add(ExecutionMode::kOts, StrategyKind::kFifo, kStall, QueuePathMode::kAuto,
-      kRing, true);
+  add(ExecutionMode::kOts, StrategyKind::kFifo, kStall, kRing, false);
+  add(ExecutionMode::kOts, StrategyKind::kFifo, kStall, 0, false);
+  add(ExecutionMode::kOts, StrategyKind::kFifo, kStall, 2, false);
+  add(ExecutionMode::kOts, StrategyKind::kFifo, kStall, kRing, true);
 
   // HMTS: every strategy under the stall-avoiding placement (auto + tiny
   // ring), then the alternative placement algorithms.
   for (StrategyKind strategy :
        {StrategyKind::kFifo, StrategyKind::kRoundRobin, StrategyKind::kChain,
         StrategyKind::kSegment}) {
-    add(ExecutionMode::kHmts, strategy, kStall, QueuePathMode::kAuto, kRing,
-        false);
-    add(ExecutionMode::kHmts, strategy, kStall, QueuePathMode::kAuto, 2,
-        false);
+    add(ExecutionMode::kHmts, strategy, kStall, kRing, false);
+    add(ExecutionMode::kHmts, strategy, kStall, 2, false);
   }
-  add(ExecutionMode::kHmts, StrategyKind::kFifo, kStall,
-      QueuePathMode::kForceMpsc, kRing, false);
-  add(ExecutionMode::kHmts, StrategyKind::kFifo, kStall, QueuePathMode::kAuto,
-      kRing, true);
+  add(ExecutionMode::kHmts, StrategyKind::kFifo, kStall, 0, false);
+  add(ExecutionMode::kHmts, StrategyKind::kFifo, kStall, kRing, true);
   add(ExecutionMode::kHmts, StrategyKind::kFifo, PlacementKind::kChain,
-      QueuePathMode::kAuto, kRing, false);
+      kRing, false);
   add(ExecutionMode::kHmts, StrategyKind::kFifo, PlacementKind::kSegment,
-      QueuePathMode::kAuto, kRing, false);
+      kRing, false);
 
   // Batch delivery axis: sources bundle elements into TupleBatches and
   // queues hand each drained run downstream as one ReceiveBatch call.
   // Results must stay byte-identical to per-tuple execution for every
-  // batch size, down both queue paths, through spillover, and under
+  // batch size, with and without a ring, through spillover, and under
   // burst arrival (where whole-stream batches pile into the queues).
-  auto add_batch = [&configs](ExecutionMode mode, QueuePathMode queue_path,
-                              size_t ring, bool burst, size_t batch) {
+  auto add_batch = [&configs](ExecutionMode mode, size_t ring, bool burst,
+                              size_t batch) {
     DiffConfig config;
     config.mode = mode;
-    config.queue_path = queue_path;
     config.ring_capacity = ring;
     config.feed_before_start = burst;
     config.emit_batch_size = batch;
     configs.push_back(config);
   };
   for (size_t batch : {size_t{8}, size_t{64}}) {
-    add_batch(ExecutionMode::kDirect, QueuePathMode::kAuto, kRing, false,
-              batch);
-    add_batch(ExecutionMode::kGts, QueuePathMode::kAuto, kRing, false, batch);
-    add_batch(ExecutionMode::kGts, QueuePathMode::kForceMpsc, kRing, false,
-              batch);
+    add_batch(ExecutionMode::kDirect, kRing, false, batch);
+    add_batch(ExecutionMode::kGts, kRing, false, batch);
+    add_batch(ExecutionMode::kGts, 0, false, batch);
     // Tiny ring: every batch enqueue overflows into the spillover deque,
     // so drains exercise the seq-merge path with batch delivery on.
-    add_batch(ExecutionMode::kGts, QueuePathMode::kAuto, 2, false, batch);
-    add_batch(ExecutionMode::kOts, QueuePathMode::kAuto, kRing, false, batch);
-    add_batch(ExecutionMode::kHmts, QueuePathMode::kAuto, kRing, false, batch);
+    add_batch(ExecutionMode::kGts, 2, false, batch);
+    add_batch(ExecutionMode::kOts, kRing, false, batch);
+    add_batch(ExecutionMode::kHmts, kRing, false, batch);
   }
-  add_batch(ExecutionMode::kHmts, QueuePathMode::kForceMpsc, kRing, false, 64);
-  add_batch(ExecutionMode::kGts, QueuePathMode::kAuto, kRing, true, 64);
+  add_batch(ExecutionMode::kHmts, 0, false, 64);
+  add_batch(ExecutionMode::kGts, kRing, true, 64);
 
   // Columnar axis (DESIGN.md §17): the same topologies with the typed
   // columnar layer on — sources scatter accumulated elements into
@@ -352,11 +331,10 @@ std::vector<DiffConfig> DefaultConfigMatrix() {
   // compaction, queues box whole batches, and fallback boundaries
   // materialize back to rows. Representation must never change results:
   // byte-identical to the row-wise path everywhere.
-  auto add_col = [&configs](ExecutionMode mode, QueuePathMode queue_path,
-                            size_t ring, bool burst, size_t batch) {
+  auto add_col = [&configs](ExecutionMode mode, size_t ring, bool burst,
+                            size_t batch) {
     DiffConfig config;
     config.mode = mode;
-    config.queue_path = queue_path;
     config.ring_capacity = ring;
     config.feed_before_start = burst;
     config.emit_batch_size = batch;
@@ -364,16 +342,16 @@ std::vector<DiffConfig> DefaultConfigMatrix() {
     configs.push_back(config);
   };
   for (size_t batch : {size_t{8}, size_t{64}}) {
-    add_col(ExecutionMode::kDirect, QueuePathMode::kAuto, kRing, false, batch);
-    add_col(ExecutionMode::kGts, QueuePathMode::kAuto, kRing, false, batch);
-    add_col(ExecutionMode::kHmts, QueuePathMode::kAuto, kRing, false, batch);
+    add_col(ExecutionMode::kDirect, kRing, false, batch);
+    add_col(ExecutionMode::kGts, kRing, false, batch);
+    add_col(ExecutionMode::kHmts, kRing, false, batch);
   }
-  add_col(ExecutionMode::kGts, QueuePathMode::kForceMpsc, kRing, false, 64);
+  add_col(ExecutionMode::kGts, 0, false, 64);
   // Tiny ring: every boxed batch lands in the spillover deque, so drains
   // exercise the seq-merge path with boxed items in flight.
-  add_col(ExecutionMode::kGts, QueuePathMode::kAuto, 2, false, 64);
-  add_col(ExecutionMode::kOts, QueuePathMode::kAuto, kRing, false, 64);
-  add_col(ExecutionMode::kGts, QueuePathMode::kAuto, kRing, true, 64);
+  add_col(ExecutionMode::kGts, 2, false, 64);
+  add_col(ExecutionMode::kOts, kRing, false, 64);
+  add_col(ExecutionMode::kGts, kRing, true, 64);
 
   // Ragged-batch axis: a fake linger clock cuts partial batches at random
   // positions, row-wise and columnar, under every scheduled architecture.
@@ -525,9 +503,8 @@ std::vector<DiffConfig> RecoveryConfigMatrix(const std::string& kill_operator,
   }
   // Single-threaded DI with source queues.
   add(ExecutionMode::kDirect, StrategyKind::kFifo);
-  // Both cross-thread queue paths must replay identically.
-  add(ExecutionMode::kGts, StrategyKind::kFifo).queue_path =
-      QueuePathMode::kForceMpsc;
+  // Ring-less queues (every push and drain locked) must replay identically.
+  add(ExecutionMode::kGts, StrategyKind::kFifo).ring_capacity = 0;
   // Bounded kBlock queues: backpressure + recovery, still exact (kBlock
   // never sheds, so the exact oracle applies).
   {
@@ -662,8 +639,8 @@ std::vector<DiffConfig> DurabilityConfigMatrix() {
   add(ExecutionMode::kOts);
   add(ExecutionMode::kHmts);
   add(ExecutionMode::kDirect);
-  // Both cross-thread queue paths must restore identically.
-  add(ExecutionMode::kGts).queue_path = QueuePathMode::kForceMpsc;
+  // Ring-less queues (every push and drain locked) must restore identically.
+  add(ExecutionMode::kGts).ring_capacity = 0;
   // Batch delivery: barriers still split batches, so the durable cursors
   // land on the same element boundaries as the per-tuple path.
   add(ExecutionMode::kHmts).emit_batch_size = 64;
@@ -1115,7 +1092,6 @@ std::string FormatReplay(const DiffSpec& spec, const DiffConfig& config) {
      << "mode=" << ExecutionModeToString(config.mode) << "\n"
      << "strategy=" << StrategyKindToString(config.strategy) << "\n"
      << "placement=" << PlacementKindToString(config.placement) << "\n"
-     << "queue_path=" << QueuePathModeToString(config.queue_path) << "\n"
      << "ring_capacity=" << config.ring_capacity << "\n"
      << "feed_before_start=" << (config.feed_before_start ? 1 : 0) << "\n"
      << "fault=" << TestFaultToString(config.fault) << "\n"
@@ -1188,10 +1164,6 @@ bool ParseReplay(const std::string& text, DiffSpec* spec, DiffConfig* config,
       } else if (key == "placement") {
         if (!PlacementKindFromString(value, &config->placement)) {
           return fail("unknown placement '" + value + "'");
-        }
-      } else if (key == "queue_path") {
-        if (!QueuePathModeFromString(value, &config->queue_path)) {
-          return fail("unknown queue_path '" + value + "'");
         }
       } else if (key == "ring_capacity") {
         config->ring_capacity = std::stoull(value);

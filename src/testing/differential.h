@@ -52,7 +52,9 @@ struct DiffConfig {
   ExecutionMode mode = ExecutionMode::kGts;
   StrategyKind strategy = StrategyKind::kFifo;
   PlacementKind placement = PlacementKind::kStallAvoiding;
-  QueuePathMode queue_path = QueuePathMode::kAuto;
+  /// Ring slots per placed queue (EngineOptions::queue_ring_capacity): 2
+  /// forces constant spillover, 0 takes every push through the locked
+  /// path.
   size_t ring_capacity = QueueOp::kDefaultRingCapacity;
   /// Feed every element (and EOS) before starting the workers: queues
   /// absorb the whole stream, so the first drains run with full batches
@@ -191,7 +193,7 @@ DiffConfig GoldenConfig();
 
 /// The standard matrix: {GTS, OTS, HMTS} crossed with the level-2
 /// strategies (FIFO, round-robin, Chain, Segment where applicable), the
-/// SPSC-ring vs forced-MPSC queue paths, a tiny-ring spillover variant,
+/// ring vs ring-less (ring capacity 0) queues, a tiny-ring spillover variant,
 /// burst arrival, and the HMTS placement algorithms; plus single-threaded
 /// kDirect; plus the batch-delivery axis (emit_batch_size in {8, 64})
 /// crossed with the queue-path variants, the columnar axis, and the
@@ -245,7 +247,7 @@ std::vector<DiffConfig> ChaosConfigMatrix();
 /// recover via epoch rewind + replay and still match golden *exactly* —
 /// the CollectingSink truncate-on-restore gives exact epoch+sequence
 /// dedup, so no relaxed compare is needed. Covers {GTS, OTS, HMTS} x
-/// {FIFO, Chain}, kDirect, the forced-MPSC queue path, bounded kBlock
+/// {FIFO, Chain}, kDirect, ring-less queues, bounded kBlock
 /// queues, a double-kill variant, batch delivery (row and columnar), and
 /// the ragged-batch axis ({GTS, OTS, HMTS} x {row, columnar}). All queues stay unbounded or
 /// kBlock so nothing is shed and the exact oracle applies.
@@ -261,7 +263,7 @@ std::vector<DiffConfig> RecoveryConfigMatrix(const std::string& kill_operator,
 std::vector<DiffConfig> ShardConfigMatrix();
 
 /// The durable-checkpoint sweep (check-durability): cold restarts across
-/// {GTS, OTS, HMTS, kDirect}, the forced-MPSC queue path, batch delivery,
+/// {GTS, OTS, HMTS, kDirect}, ring-less queues, batch delivery,
 /// a double-restart variant (two process deaths, two disk restores), and
 /// one configuration per injected disk fault (torn write, at-rest
 /// corruption, ENOSPC, fsync failure — each must degrade to an earlier

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "api/query_builder.h"
 #include "test_util.h"
 #include "workload/rate_source.h"
@@ -292,6 +294,54 @@ TEST(StreamEngineTest, JoinQueryUnderAllScheduledModes) {
     // ~500*500/50 = 5000 expected matches; exact count is deterministic
     // given the seeds but we only check plausibility and cross-mode use.
     EXPECT_GT(sink->size(), 3000u) << ExecutionModeToString(mode);
+  }
+}
+
+// The engine places one queue per cross edge, so every placed queue has a
+// single producer and gets a ring — including queues in front of a
+// two-input join — except when a kShedOldest bound (which pops the head
+// on the producer side) or a ring capacity of 0 leaves it ring-less.
+TEST(StreamEngineTest, EveryPlacedQueueHasOneInputAndARing) {
+  struct Case {
+    size_t max_elements;
+    OverloadPolicy policy;
+    size_t ring_capacity;
+    bool want_ring;
+  };
+  const Case cases[] = {
+      {0, OverloadPolicy::kBlock, QueueOp::kDefaultRingCapacity, true},
+      {64, OverloadPolicy::kBlock, QueueOp::kDefaultRingCapacity, true},
+      {64, OverloadPolicy::kShedNewest, QueueOp::kDefaultRingCapacity, true},
+      {64, OverloadPolicy::kShedOldest, QueueOp::kDefaultRingCapacity, false},
+      {0, OverloadPolicy::kBlock, 0, false},
+  };
+  for (auto mode : {ExecutionMode::kDirect, ExecutionMode::kGts,
+                    ExecutionMode::kOts, ExecutionMode::kHmts}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(ExecutionModeToString(mode)) + " bound " +
+                   std::to_string(c.max_elements) + ":" +
+                   OverloadPolicyToString(c.policy) + " ring " +
+                   std::to_string(c.ring_capacity));
+      QueryGraph graph;
+      QueryBuilder qb(&graph);
+      Source* left = qb.AddSource("left");
+      Source* right = qb.AddSource("right");
+      Node* join = qb.HashJoin(left, right, "join", /*window=*/1000);
+      Node* keep = qb.Select(join, "keep", [](const Tuple&) { return true; });
+      qb.CountSink(keep, "sink");
+      StreamEngine engine(&graph);
+      EngineOptions opt;
+      opt.mode = mode;
+      opt.queue_max_elements = c.max_elements;
+      opt.overload_policy = c.policy;
+      opt.queue_ring_capacity = c.ring_capacity;
+      ASSERT_TRUE(engine.Configure(opt).ok());
+      ASSERT_FALSE(engine.queues().empty());
+      for (const QueueOp* queue : engine.queues()) {
+        EXPECT_EQ(queue->inputs().size(), 1u) << queue->name();
+        EXPECT_EQ(queue->has_ring(), c.want_ring) << queue->name();
+      }
+    }
   }
 }
 

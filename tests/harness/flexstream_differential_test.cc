@@ -103,9 +103,9 @@ DiffConfig ReorderFaultConfig() {
   DiffConfig config;
   config.mode = ExecutionMode::kGts;
   config.strategy = StrategyKind::kFifo;
-  // Force the locked MPSC path everywhere: the fault hooks the locked
-  // drains, and burst arrival guarantees multi-element batches to reverse.
-  config.queue_path = QueuePathMode::kForceMpsc;
+  // No rings: every drain takes the locked path the fault hooks, and burst
+  // arrival guarantees multi-element batches to reverse.
+  config.ring_capacity = 0;
   config.feed_before_start = true;
   config.fault = QueueOp::TestFault::kReorderDrainBatch;
   return config;
@@ -207,8 +207,7 @@ TEST(DifferentialReplayTest, FormatParseRoundTrip) {
   config.mode = ExecutionMode::kHmts;
   config.strategy = StrategyKind::kSegment;
   config.placement = PlacementKind::kChain;
-  config.queue_path = QueuePathMode::kForceMpsc;
-  config.ring_capacity = 4;
+  config.ring_capacity = 0;
   config.feed_before_start = true;
   config.fault = QueueOp::TestFault::kReorderDrainBatch;
   config.emit_batch_size = 64;
@@ -230,7 +229,6 @@ TEST(DifferentialReplayTest, FormatParseRoundTrip) {
   EXPECT_EQ(parsed_config.mode, config.mode);
   EXPECT_EQ(parsed_config.strategy, config.strategy);
   EXPECT_EQ(parsed_config.placement, config.placement);
-  EXPECT_EQ(parsed_config.queue_path, config.queue_path);
   EXPECT_EQ(parsed_config.ring_capacity, config.ring_capacity);
   EXPECT_EQ(parsed_config.feed_before_start, config.feed_before_start);
   EXPECT_EQ(parsed_config.fault, config.fault);

@@ -10,7 +10,6 @@
 
 #include "api/query_builder.h"
 #include "api/stream_engine.h"
-#include "placement/producer_annotation.h"
 #include "test_util.h"
 
 namespace flexstream {
@@ -21,8 +20,8 @@ TEST(QueueSpillTest, SeqMergeDrainRestoresFifoAcrossSpillBoundary) {
   // second element into the spill deque, so the subsequent drain *must*
   // merge the two stores.
   testutil::QueueRig rig(/*ring_capacity=*/2);
-  AnnotateSingleProducerQueues({rig.queue}, nullptr);
-  ASSERT_TRUE(rig.queue->single_producer());
+  rig.queue->SetSingleProducer(true);
+  ASSERT_TRUE(rig.queue->has_ring());
 
   constexpr int kCount = 100;
   for (int i = 0; i < kCount; ++i) rig.src->Push(Tuple::OfInt(i, i));
@@ -75,7 +74,7 @@ TEST(QueueSpillTest, EngineWithTinyRingsPreservesChainOrder) {
 
     bool some_queue_spilled = false;
     for (const QueueOp* queue : engine.queues()) {
-      if (queue->single_producer() && queue->locked_pushes() > 0 &&
+      if (queue->has_ring() && queue->locked_pushes() > 0 &&
           queue->ring_pushes() > 0) {
         some_queue_spilled = true;
       }

@@ -117,13 +117,13 @@ TEST(OverloadTest, ShedNewestDropsIncoming) {
   }
 }
 
-// kShedOldest drops from the front to admit the newcomer — and forces the
-// MPSC path, since only the consumer may touch the SPSC ring's head.
+// kShedOldest drops from the front to admit the newcomer — and drops the
+// ring, since only the consumer may touch the ring's head.
 TEST(OverloadTest, ShedOldestKeepsNewest) {
   QueueRig rig;
   rig.queue->SetSingleProducer(true);
   rig.queue->SetBound(3, OverloadPolicy::kShedOldest);
-  EXPECT_FALSE(rig.queue->single_producer());
+  EXPECT_FALSE(rig.queue->has_ring());
 
   for (int i = 0; i < 10; ++i) rig.src->Push(Tuple::OfInt(i, i));
   rig.src->Close(10);

@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "graph/query_graph.h"
 #include "operators/sink.h"
 #include "operators/source.h"
 #include "test_util.h"
+#include "tuple/batch_pool.h"
+#include "tuple/schema.h"
 
 namespace flexstream {
 namespace {
@@ -245,12 +249,93 @@ TEST(QueueOpTest, ResetClearsSingleProducerState) {
   EXPECT_FALSE(q->InputClosed());
   EXPECT_FALSE(q->Exhausted());
   EXPECT_EQ(q->HeadSeq(), QueueOp::kNoSeq);
-  EXPECT_TRUE(q->single_producer()) << "enqueue-path mode survives Reset";
+  EXPECT_TRUE(q->has_ring()) << "the ring survives Reset";
   // The queue must be fully usable again after Reset.
   src->Push(Tuple::OfInt(42, 1));
   src->Close(1);
   EXPECT_EQ(q->DrainBatch(10), 1u);
   EXPECT_TRUE(q->Exhausted());
+}
+
+/// Logs every delivery verbatim, bypassing the operator's barrier and EOS
+/// handling: a data value, "b<epoch>", "c<first>-<last>" for a boxed
+/// columnar batch, or "eos".
+class DeliveryLog : public Operator {
+ public:
+  DeliveryLog() : Operator(Kind::kOperator, "log", /*input_arity=*/1) {}
+
+  void Receive(const Tuple& tuple, int) override { Log(tuple); }
+  void Receive(Tuple&& tuple, int) override { Log(tuple); }
+  void ReceiveBatch(TupleBatch&& batch, int) override {
+    for (const Tuple& tuple : batch) Log(tuple);
+  }
+  void ReceiveColumnar(ColumnarBatchPtr batch, int) override {
+    const TupleBatch rows = columnar::MaterializeAndRelease(std::move(batch));
+    log.push_back("c" + std::to_string(rows[0].IntAt(0)) + "-" +
+                  std::to_string(rows[rows.size() - 1].IntAt(0)));
+  }
+
+  std::vector<std::string> log;
+
+ protected:
+  void Process(const Tuple&, int) override {}
+
+ private:
+  void Log(const Tuple& tuple) {
+    if (tuple.is_eos()) {
+      log.push_back("eos");
+    } else if (tuple.is_barrier()) {
+      log.push_back("b" + std::to_string(tuple.epoch()));
+    } else {
+      log.push_back(std::to_string(tuple.IntAt(0)));
+    }
+  }
+};
+
+// Ring capacity 0: SetSingleProducer(true) cannot add a ring, so every item
+// — data, barrier, boxed batch, EOS — travels the locked deque, and the
+// drain must keep FIFO order with a head seq that rises item by item.
+TEST(QueueOpTest, RinglessSingleProducerKeepsFifoAndHeadSeq) {
+  QueryGraph g;
+  Source* src = g.Add<Source>("src");
+  QueueOp* q = g.Add<QueueOp>("q", /*ring_capacity=*/0);
+  DeliveryLog* out = g.Add<DeliveryLog>();
+  ASSERT_TRUE(g.Connect(src, q).ok());
+  ASSERT_TRUE(g.Connect(q, out).ok());
+  q->SetSingleProducer(true);
+  q->SetBatchDelivery(true);  // queues box columnar batches only then
+  ASSERT_FALSE(q->has_ring());
+  EXPECT_EQ(q->HeadSeq(), QueueOp::kNoSeq);
+
+  q->Receive(Tuple::OfInt(0, 0), 0);
+  const uint64_t first = q->HeadSeq();
+  ASSERT_NE(first, QueueOp::kNoSeq);
+  q->Receive(Tuple::OfInt(1, 1), 0);
+  q->Receive(Tuple::EpochBarrier(1), 0);
+  ColumnarBatchPtr box =
+      columnar::AcquireBatch(MakeSchema({Value::Type::kInt64}));
+  for (int64_t v : {2, 3, 4}) ASSERT_TRUE(box->AppendTuple(Tuple::OfInt(v, v)));
+  q->ReceiveColumnar(std::move(box), 0);
+  q->Receive(Tuple::OfInt(5, 5), 0);
+  q->Receive(Tuple::EndOfStream(6), 0);
+  EXPECT_TRUE(q->InputClosed());
+  EXPECT_EQ(q->HeadSeq(), first) << "later pushes must not move the head";
+  EXPECT_EQ(q->ring_pushes(), 0);
+  EXPECT_EQ(q->locked_pushes(), 6) << "0, 1, barrier, box, 5, EOS";
+
+  // One item per drain: each step must advance the head seq.
+  uint64_t head = first;
+  while (!q->Exhausted()) {
+    q->DrainBatch(1);
+    const uint64_t next = q->HeadSeq();
+    if (next == QueueOp::kNoSeq) break;
+    EXPECT_GT(next, head);
+    head = next;
+  }
+  EXPECT_TRUE(q->Exhausted());
+  EXPECT_EQ(q->HeadSeq(), QueueOp::kNoSeq);
+  EXPECT_EQ(out->log, (std::vector<std::string>{"0", "1", "b1", "c2-4", "5",
+                                                "eos"}));
 }
 
 TEST(QueueOpTest, ConcurrentProducersSingleConsumer) {

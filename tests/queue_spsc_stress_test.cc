@@ -16,7 +16,6 @@
 #include "graph/query_graph.h"
 #include "operators/sink.h"
 #include "operators/source.h"
-#include "placement/producer_annotation.h"
 #include "queue/queue_op.h"
 #include "sched/partition.h"
 #include "sched/strategy.h"
@@ -33,9 +32,9 @@ TEST(QueueSpscStressTest, ProducerConsumerThroughTinyRing) {
   QueueOp* q = rig.queue;
   CollectingSink* sink = rig.sink;
 
-  // Mode selection via the placement annotation: one producing source.
-  AnnotateSingleProducerQueues({q}, nullptr);
-  ASSERT_TRUE(q->single_producer());
+  // One producing source: the queue gets its ring.
+  q->SetSingleProducer(true);
+  ASSERT_TRUE(q->has_ring());
 
   constexpr int kCount = 50'000;
   std::thread producer([&] {
@@ -95,7 +94,7 @@ TEST(QueueSpscStressTest, PartitionDrivenConsumerWithCoalescedWakeups) {
       << "wakeups should be O(batches), not O(tuples)";
 }
 
-TEST(QueueSpscStressTest, MpscFallbackStillCorrectUnderAnnotation) {
+TEST(QueueSpscStressTest, RinglessQueueTakesConcurrentProducersUnderLock) {
   QueryGraph g;
   Source* a = g.Add<Source>("a");
   Source* b = g.Add<Source>("b");
@@ -105,9 +104,9 @@ TEST(QueueSpscStressTest, MpscFallbackStillCorrectUnderAnnotation) {
   ASSERT_TRUE(g.Connect(b, q).ok());
   ASSERT_TRUE(g.Connect(q, sink).ok());
 
-  // Two producing sources: annotation must keep the MPSC path.
-  AnnotateSingleProducerQueues({q}, nullptr);
-  ASSERT_FALSE(q->single_producer());
+  // Two producing sources: the queue keeps its default, no ring, so every
+  // push takes the locked path.
+  ASSERT_FALSE(q->has_ring());
 
   constexpr int kPerProducer = 30'000;
   std::thread ta([&] {
@@ -125,7 +124,9 @@ TEST(QueueSpscStressTest, MpscFallbackStillCorrectUnderAnnotation) {
   tb.join();
   EXPECT_EQ(sink->count(), 2 * kPerProducer);
   EXPECT_TRUE(sink->closed());
-  EXPECT_EQ(q->ring_pushes(), 0) << "MPSC mode must not touch the ring";
+  EXPECT_EQ(q->ring_pushes(), 0) << "a ring-less queue must not touch a ring";
+  // Every data push plus the one EOS append is a locked push.
+  EXPECT_EQ(q->locked_pushes(), 2 * kPerProducer + 1);
 }
 
 }  // namespace
