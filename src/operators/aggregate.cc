@@ -1,11 +1,9 @@
 #include "operators/aggregate.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "operators/router.h"
-#include "util/binary_io.h"
 #include "util/busy_work.h"
 #include "util/logging.h"
 
@@ -48,7 +46,7 @@ double WindowedAggregate::ValueOf(const Tuple& tuple) const {
   return tuple.at(options_.value_attr).ToDouble();
 }
 
-void WindowedAggregate::Fold(GroupState* g, double v) const {
+void WindowedAggregate::Fold(AggregateGroup* g, double v) const {
   ++g->count;
   g->sum += v;
   if (options_.kind == AggregateKind::kMin ||
@@ -57,7 +55,7 @@ void WindowedAggregate::Fold(GroupState* g, double v) const {
   }
 }
 
-void WindowedAggregate::Unfold(GroupState* g, double v) const {
+void WindowedAggregate::Unfold(AggregateGroup* g, double v) const {
   --g->count;
   g->sum -= v;
   if (options_.kind == AggregateKind::kMin ||
@@ -68,7 +66,7 @@ void WindowedAggregate::Unfold(GroupState* g, double v) const {
   }
 }
 
-double WindowedAggregate::Current(const GroupState& g) const {
+double WindowedAggregate::Current(const AggregateGroup& g) const {
   switch (options_.kind) {
     case AggregateKind::kCount:
       return static_cast<double>(g.count);
@@ -98,7 +96,7 @@ void WindowedAggregate::Process(const Tuple& tuple, int port) {
     if (it->second.count == 0) groups_.erase(it);
   });
   window_.Add(tuple);
-  GroupState& group = groups_[GroupKeyOf(tuple)];
+  AggregateGroup& group = groups_[GroupKeyOf(tuple)];
   Fold(&group, ValueOf(tuple));
   if (options_.group_attr) {
     EmitMove(Tuple({tuple.at(*options_.group_attr), Value(Current(group))},
@@ -109,96 +107,6 @@ void WindowedAggregate::Process(const Tuple& tuple, int port) {
 }
 
 
-OperatorSnapshot WindowedAggregate::SnapshotState() const {
-  OperatorSnapshot snap;
-  snap.state = std::make_pair(window_, groups_);
-  snap.element_count = static_cast<int64_t>(window_.size());
-  return snap;
-}
-
-void WindowedAggregate::RestoreState(const OperatorSnapshot& snapshot) {
-  using State =
-      std::pair<SlidingWindow,
-                std::unordered_map<Value, GroupState, ValueHash>>;
-  const auto& state = std::any_cast<const State&>(snapshot.state);
-  window_ = state.first;
-  groups_ = state.second;
-}
-
-Status WindowedAggregate::EncodeState(const OperatorSnapshot& snapshot,
-                                      std::string* out) const {
-  using State = std::pair<SlidingWindow,
-                          std::unordered_map<Value, GroupState, ValueHash>>;
-  const State* state = nullptr;
-  if (snapshot.state.has_value()) {
-    state = std::any_cast<State>(&snapshot.state);
-    if (state == nullptr) {
-      return Status::InvalidArgument("snapshot is not an aggregate snapshot");
-    }
-  }
-  BinaryWriter w(out);
-  if (state == nullptr) {
-    EncodeWindow(SlidingWindow(options_.window_micros), out);
-    w.U64(0);
-    return Status::Ok();
-  }
-  EncodeWindow(state->first, out);
-  // Group states are serialized field-exact (sum as IEEE-754 bits, the
-  // min/max multiset verbatim) — never re-folded from the window, so a
-  // restored aggregate continues the identical floating-point trajectory.
-  std::map<Value, const GroupState*> ordered;
-  for (const auto& [key, group] : state->second) {
-    ordered.emplace(key, &group);
-  }
-  w.U64(ordered.size());
-  for (const auto& [key, group] : ordered) {
-    w.Value(key);
-    w.I64(group->count);
-    w.F64(group->sum);
-    w.U64(group->values.size());
-    for (double v : group->values) w.F64(v);
-  }
-  return Status::Ok();
-}
-
-Result<OperatorSnapshot> WindowedAggregate::DecodeState(
-    std::string_view bytes) const {
-  BinaryReader r(bytes);
-  Result<SlidingWindow> window = DecodeWindow(&r);
-  if (!window.ok()) return std::move(window).status();
-  std::unordered_map<Value, GroupState, ValueHash> groups;
-  uint64_t group_count = 0;
-  Status st = r.U64(&group_count);
-  if (!st.ok()) return st;
-  for (uint64_t g = 0; g < group_count; ++g) {
-    Value key;
-    st = r.Value(&key);
-    if (!st.ok()) return st;
-    GroupState group;
-    uint64_t value_count = 0;
-    st = r.I64(&group.count);
-    if (st.ok()) st = r.F64(&group.sum);
-    if (st.ok()) st = r.U64(&value_count);
-    if (!st.ok()) return st;
-    for (uint64_t i = 0; i < value_count; ++i) {
-      double v = 0.0;
-      st = r.F64(&v);
-      if (!st.ok()) return st;
-      group.values.insert(v);
-    }
-    if (!groups.emplace(std::move(key), std::move(group)).second) {
-      return Status::InvalidArgument("duplicate group key in snapshot");
-    }
-  }
-  if (!r.done()) {
-    return Status::InvalidArgument("trailing bytes in aggregate snapshot");
-  }
-  OperatorSnapshot snap;
-  snap.element_count = static_cast<int64_t>(window->size());
-  snap.state = std::make_pair(std::move(window).value(), std::move(groups));
-  return snap;
-}
-
 std::unique_ptr<Operator> WindowedAggregate::CloneFresh(
     std::string name) const {
   return std::make_unique<WindowedAggregate>(std::move(name), options_);
@@ -206,9 +114,6 @@ std::unique_ptr<Operator> WindowedAggregate::CloneFresh(
 
 Result<std::vector<OperatorSnapshot>> WindowedAggregate::RepartitionSnapshots(
     const std::vector<OperatorSnapshot>& snapshots, size_t new_n) const {
-  using State =
-      std::pair<SlidingWindow,
-                std::unordered_map<Value, GroupState, ValueHash>>;
   if (new_n == 0) {
     return Status::InvalidArgument("cannot repartition into 0 shards");
   }
@@ -228,11 +133,10 @@ Result<std::vector<OperatorSnapshot>> WindowedAggregate::RepartitionSnapshots(
       return Status::FailedPrecondition(
           "replica snapshots span different epochs");
     }
-    const auto* state = std::any_cast<State>(&snap.state);
-    if (state == nullptr && snap.state.has_value()) {
+    const State* state = StateOf(snap);
+    if (state == nullptr) {
       return Status::InvalidArgument("snapshot is not an aggregate snapshot");
     }
-    if (state == nullptr) continue;  // empty state: nothing windowed
     for (const Tuple& tuple : state->first.contents()) {
       arrivals.push_back(tuple);
     }
@@ -241,20 +145,19 @@ Result<std::vector<OperatorSnapshot>> WindowedAggregate::RepartitionSnapshots(
                    [](const Tuple& a, const Tuple& b) {
                      return a.timestamp() < b.timestamp();
                    });
-  std::vector<SlidingWindow> windows(new_n,
-                                     SlidingWindow(options_.window_micros));
-  std::vector<std::unordered_map<Value, GroupState, ValueHash>> groups(new_n);
+  std::vector<State> shards(new_n,
+                            State{SlidingWindow(options_.window_micros), {}});
   for (const Tuple& tuple : arrivals) {
     const Value key = tuple.at(*options_.group_attr);
-    const size_t shard = Router::HashValue(key) % new_n;
-    windows[shard].Add(tuple);
-    Fold(&groups[shard][key], ValueOf(tuple));
+    State& shard = shards[Router::HashValue(key) % new_n];
+    shard.first.Add(tuple);
+    Fold(&shard.second[key], ValueOf(tuple));
   }
   std::vector<OperatorSnapshot> out(new_n);
   for (size_t i = 0; i < new_n; ++i) {
     out[i].epoch = snapshots.front().epoch;
-    out[i].element_count = static_cast<int64_t>(windows[i].size());
-    out[i].state = std::make_pair(std::move(windows[i]), std::move(groups[i]));
+    out[i].element_count = ElementCount(shards[i]);
+    out[i].state = std::move(shards[i]);
   }
   return out;
 }

@@ -14,7 +14,9 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "operators/operator.h"
@@ -28,7 +30,29 @@ enum class AggregateKind { kCount, kSum, kAvg, kMin, kMax };
 
 const char* AggregateKindToString(AggregateKind kind);
 
-class WindowedAggregate : public Operator, public StatefulOperator {
+/// One group's running aggregate in a WindowedAggregate.
+struct AggregateGroup {
+  int64_t count = 0;
+  double sum = 0.0;
+  // Multiset of values so min/max survive expiration.
+  std::multiset<double> values;
+
+  // Field-exact (sum as IEEE-754 bits, the multiset verbatim) — never
+  // re-folded from the window, so a restored aggregate continues the
+  // identical floating-point trajectory.
+  friend void Put(BinaryWriter* w, const AggregateGroup& g) {
+    Put(w, g.count, g.sum, g.values);
+  }
+  friend Status Get(BinaryReader* r, AggregateGroup* g) {
+    return Get(r, &g->count, &g->sum, &g->values);
+  }
+};
+
+class WindowedAggregate
+    : public Operator,
+      public StatefulOperatorOf<
+          std::pair<SlidingWindow,
+                    std::unordered_map<Value, AggregateGroup, ValueHash>>> {
  public:
   struct Options {
     AggregateKind kind = AggregateKind::kCount;
@@ -48,14 +72,6 @@ class WindowedAggregate : public Operator, public StatefulOperator {
 
   size_t window_size() const { return window_.size(); }
 
-  OperatorSnapshot SnapshotState() const override;
-  void RestoreState(const OperatorSnapshot& snapshot) override;
-
-  bool SupportsDurableState() const override { return true; }
-  Status EncodeState(const OperatorSnapshot& snapshot,
-                     std::string* out) const override;
-  Result<OperatorSnapshot> DecodeState(std::string_view bytes) const override;
-
   std::unique_ptr<Operator> CloneFresh(std::string name) const override;
 
   /// Redistributes the committed snapshots of N replicas of this aggregate
@@ -72,22 +88,23 @@ class WindowedAggregate : public Operator, public StatefulOperator {
   void Process(const Tuple& tuple, int port) override;
 
  private:
-  struct GroupState {
-    int64_t count = 0;
-    double sum = 0.0;
-    // Multiset of values so min/max survive expiration.
-    std::multiset<double> values;
-  };
+  State CaptureState() const override { return {window_, groups_}; }
+  void InstallState(const State& state) override {
+    std::tie(window_, groups_) = state;
+  }
+  int64_t ElementCount(const State& state) const override {
+    return static_cast<int64_t>(state.first.size());
+  }
 
   Value GroupKeyOf(const Tuple& tuple) const;
   double ValueOf(const Tuple& tuple) const;
-  double Current(const GroupState& g) const;
-  void Fold(GroupState* g, double v) const;
-  void Unfold(GroupState* g, double v) const;
+  double Current(const AggregateGroup& g) const;
+  void Fold(AggregateGroup* g, double v) const;
+  void Unfold(AggregateGroup* g, double v) const;
 
   Options options_;
   SlidingWindow window_;
-  std::unordered_map<Value, GroupState, ValueHash> groups_;
+  std::unordered_map<Value, AggregateGroup, ValueHash> groups_;
 };
 
 }  // namespace flexstream

@@ -1,6 +1,5 @@
 #include "operators/count_window_aggregate.h"
 
-#include <tuple>
 #include <utility>
 
 #include "util/binary_io.h"
@@ -58,87 +57,16 @@ void CountWindowAggregate::Process(const Tuple& tuple, int port) {
   EmitMove(Tuple({Value(Current())}, tuple.timestamp()));
 }
 
-
-OperatorSnapshot CountWindowAggregate::SnapshotState() const {
-  OperatorSnapshot snap;
-  snap.state = std::make_tuple(window_, sum_, ordered_);
-  snap.element_count = static_cast<int64_t>(window_.size());
-  return snap;
-}
-
-void CountWindowAggregate::RestoreState(const OperatorSnapshot& snapshot) {
-  using State =
-      std::tuple<std::deque<double>, double, std::multiset<double>>;
-  const auto& state = std::any_cast<const State&>(snapshot.state);
-  window_ = std::get<0>(state);
-  sum_ = std::get<1>(state);
-  ordered_ = std::get<2>(state);
-}
-
-Status CountWindowAggregate::EncodeState(const OperatorSnapshot& snapshot,
-                                         std::string* out) const {
-  using State = std::tuple<std::deque<double>, double, std::multiset<double>>;
-  const State* state = nullptr;
-  if (snapshot.state.has_value()) {
-    state = std::any_cast<State>(&snapshot.state);
-    if (state == nullptr) {
-      return Status::InvalidArgument(
-          "snapshot is not a count-window-aggregate snapshot");
-    }
-  }
-  BinaryWriter w(out);
-  if (state == nullptr) {
-    w.U64(0);
-    w.F64(0.0);
-    w.U64(0);
-    return Status::Ok();
-  }
+Status CountWindowAggregate::Decode(BinaryReader* r, State* state) const {
+  Status s = Get(r, state);
+  if (!s.ok()) return s;
   const std::deque<double>& window = std::get<0>(*state);
-  w.U64(window.size());
-  for (double v : window) w.F64(v);
-  w.F64(std::get<1>(*state));
-  const std::multiset<double>& ordered = std::get<2>(*state);
-  w.U64(ordered.size());
-  for (double v : ordered) w.F64(v);
+  // Eviction erases each evicted value from `ordered`, which must hold it.
+  if (std::get<2>(*state) !=
+      std::multiset<double>(window.begin(), window.end())) {
+    return Status::InvalidArgument(
+        "count-window snapshot ordered values differ from its window");
+  }
   return Status::Ok();
-}
-
-Result<OperatorSnapshot> CountWindowAggregate::DecodeState(
-    std::string_view bytes) const {
-  BinaryReader r(bytes);
-  uint64_t window_count = 0;
-  Status st = r.U64(&window_count);
-  if (!st.ok()) return st;
-  std::deque<double> window;
-  for (uint64_t i = 0; i < window_count; ++i) {
-    double v = 0.0;
-    st = r.F64(&v);
-    if (!st.ok()) return st;
-    window.push_back(v);
-  }
-  double sum = 0.0;
-  uint64_t ordered_count = 0;
-  st = r.F64(&sum);
-  if (st.ok()) st = r.U64(&ordered_count);
-  if (!st.ok()) return st;
-  if (ordered_count != window_count) {
-    return Status::InvalidArgument(
-        "count-window snapshot window/ordered size mismatch");
-  }
-  std::multiset<double> ordered;
-  for (uint64_t i = 0; i < ordered_count; ++i) {
-    double v = 0.0;
-    st = r.F64(&v);
-    if (!st.ok()) return st;
-    ordered.insert(v);
-  }
-  if (!r.done()) {
-    return Status::InvalidArgument(
-        "trailing bytes in count-window-aggregate snapshot");
-  }
-  OperatorSnapshot snap;
-  snap.element_count = static_cast<int64_t>(window.size());
-  snap.state = std::make_tuple(std::move(window), sum, std::move(ordered));
-  return snap;
 }
 }  // namespace flexstream

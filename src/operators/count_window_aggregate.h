@@ -9,6 +9,7 @@
 #include <deque>
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "operators/aggregate.h"
 #include "operators/operator.h"
@@ -16,7 +17,12 @@
 
 namespace flexstream {
 
-class CountWindowAggregate : public Operator, public StatefulOperator {
+/// State: the window's values in arrival order, their sum, and the same
+/// values ordered for min/max.
+class CountWindowAggregate
+    : public Operator,
+      public StatefulOperatorOf<
+          std::tuple<std::deque<double>, double, std::multiset<double>>> {
  public:
   struct Options {
     AggregateKind kind = AggregateKind::kCount;
@@ -31,18 +37,20 @@ class CountWindowAggregate : public Operator, public StatefulOperator {
 
   size_t window_size() const { return window_.size(); }
 
-  OperatorSnapshot SnapshotState() const override;
-  void RestoreState(const OperatorSnapshot& snapshot) override;
-
-  bool SupportsDurableState() const override { return true; }
-  Status EncodeState(const OperatorSnapshot& snapshot,
-                     std::string* out) const override;
-  Result<OperatorSnapshot> DecodeState(std::string_view bytes) const override;
-
  protected:
   void Process(const Tuple& tuple, int port) override;
 
  private:
+  State CaptureState() const override { return {window_, sum_, ordered_}; }
+  void InstallState(const State& state) override {
+    std::tie(window_, sum_, ordered_) = state;
+  }
+  int64_t ElementCount(const State& state) const override {
+    return static_cast<int64_t>(std::get<0>(state).size());
+  }
+  /// Also requires the ordered values to be exactly the window's.
+  Status Decode(BinaryReader* r, State* state) const override;
+
   double Current() const;
 
   Options options_;

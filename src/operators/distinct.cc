@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "util/binary_io.h"
 #include "util/logging.h"
 
 namespace flexstream {
@@ -52,65 +51,22 @@ void Distinct::Process(const Tuple& tuple, int port) {
   if (first_in_window) Emit(tuple);
 }
 
-
-OperatorSnapshot Distinct::SnapshotState() const {
-  OperatorSnapshot snap;
-  snap.state = std::make_pair(window_, live_);
-  snap.element_count = static_cast<int64_t>(window_.size());
-  return snap;
+void Distinct::InstallState(const State& state) {
+  window_ = state;
+  live_.clear();
+  for (const Tuple& tuple : window_.contents()) ++live_[KeyOf(tuple)];
 }
 
-void Distinct::RestoreState(const OperatorSnapshot& snapshot) {
-  using State =
-      std::pair<SlidingWindow,
-                std::unordered_map<std::vector<Value>, int64_t, KeyHash>>;
-  const auto& state = std::any_cast<const State&>(snapshot.state);
-  window_ = state.first;
-  live_ = state.second;
-}
-
-Status Distinct::EncodeState(const OperatorSnapshot& snapshot,
-                             std::string* out) const {
-  using State =
-      std::pair<SlidingWindow,
-                std::unordered_map<std::vector<Value>, int64_t, KeyHash>>;
-  const State* state = nullptr;
-  if (snapshot.state.has_value()) {
-    state = std::any_cast<State>(&snapshot.state);
-    if (state == nullptr) {
-      return Status::InvalidArgument("snapshot is not a distinct snapshot");
-    }
-  }
-  // The live-key occurrence counts are an exact function of the window
-  // contents (KeyOf over every buffered tuple), so only the window is
-  // persisted; DecodeState recounts.
-  if (state == nullptr) {
-    EncodeWindow(SlidingWindow(window_.duration_micros()), out);
-  } else {
-    EncodeWindow(state->first, out);
-  }
-  return Status::Ok();
-}
-
-Result<OperatorSnapshot> Distinct::DecodeState(std::string_view bytes) const {
-  BinaryReader r(bytes);
-  Result<SlidingWindow> window = DecodeWindow(&r);
-  if (!window.ok()) return std::move(window).status();
-  if (!r.done()) {
-    return Status::InvalidArgument("trailing bytes in distinct snapshot");
-  }
-  std::unordered_map<std::vector<Value>, int64_t, KeyHash> live;
-  for (const Tuple& tuple : window->contents()) {
+Status Distinct::Decode(BinaryReader* r, State* state) const {
+  Status s = Get(r, state);
+  if (!s.ok()) return s;
+  for (const Tuple& tuple : state->contents()) {
     for (size_t a : key_attrs_) {
       if (a >= tuple.arity()) {
         return Status::InvalidArgument("malformed distinct snapshot tuple");
       }
     }
-    ++live[KeyOf(tuple)];
   }
-  OperatorSnapshot snap;
-  snap.element_count = static_cast<int64_t>(window->size());
-  snap.state = std::make_pair(std::move(window).value(), std::move(live));
-  return snap;
+  return Status::Ok();
 }
 }  // namespace flexstream

@@ -19,7 +19,10 @@
 
 namespace flexstream {
 
-class Distinct : public Operator, public StatefulOperator {
+/// State: the window alone. The live-key counts are an exact function of
+/// its contents (KeyOf over every buffered tuple), so restoring recounts
+/// them.
+class Distinct : public Operator, public StatefulOperatorOf<SlidingWindow> {
  public:
   /// `key_attrs` selects the attributes compared for equality; empty
   /// means the whole tuple (all attributes, not the timestamp).
@@ -30,14 +33,6 @@ class Distinct : public Operator, public StatefulOperator {
 
   size_t window_size() const { return window_.size(); }
 
-  OperatorSnapshot SnapshotState() const override;
-  void RestoreState(const OperatorSnapshot& snapshot) override;
-
-  bool SupportsDurableState() const override { return true; }
-  Status EncodeState(const OperatorSnapshot& snapshot,
-                     std::string* out) const override;
-  Result<OperatorSnapshot> DecodeState(std::string_view bytes) const override;
-
   std::unique_ptr<Operator> CloneFresh(std::string name) const override {
     return std::make_unique<Distinct>(std::move(name),
                                       window_.duration_micros(), key_attrs_);
@@ -47,6 +42,14 @@ class Distinct : public Operator, public StatefulOperator {
   void Process(const Tuple& tuple, int port) override;
 
  private:
+  State CaptureState() const override { return window_; }
+  void InstallState(const State& state) override;
+  int64_t ElementCount(const State& state) const override {
+    return static_cast<int64_t>(state.size());
+  }
+  /// Also requires every tuple to carry the key attributes.
+  Status Decode(BinaryReader* r, State* state) const override;
+
   struct KeyHash {
     size_t operator()(const std::vector<Value>& key) const;
   };

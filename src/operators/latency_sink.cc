@@ -1,9 +1,9 @@
 #include "operators/latency_sink.h"
 
+#include <tuple>
 #include <utility>
 
 #include "tuple/batch_pool.h"
-#include "util/binary_io.h"
 
 namespace flexstream {
 
@@ -66,85 +66,14 @@ int64_t LatencySink::count() const {
   return histogram_.count();
 }
 
-namespace {
-struct LatencyState {
-  Histogram histogram;
-  std::map<int64_t, Histogram> phase_histograms;
-};
-}  // namespace
-
-OperatorSnapshot LatencySink::SnapshotState() const {
+LatencySink::State LatencySink::CaptureState() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  OperatorSnapshot s;
-  s.state = LatencyState{histogram_, phase_histograms_};
-  s.element_count = histogram_.count();
-  return s;
+  return {histogram_, phase_histograms_};
 }
 
-void LatencySink::RestoreState(const OperatorSnapshot& snapshot) {
+void LatencySink::InstallState(const State& state) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!snapshot.state.has_value()) {
-    histogram_.Reset();
-    phase_histograms_.clear();
-    return;
-  }
-  const auto& state = std::any_cast<const LatencyState&>(snapshot.state);
-  histogram_ = state.histogram;
-  phase_histograms_ = state.phase_histograms;
-}
-
-Status LatencySink::EncodeState(const OperatorSnapshot& snapshot,
-                                std::string* out) const {
-  const LatencyState* state = nullptr;
-  if (snapshot.state.has_value()) {
-    state = std::any_cast<LatencyState>(&snapshot.state);
-    if (state == nullptr) {
-      return Status::InvalidArgument(
-          "snapshot is not a latency-sink snapshot");
-    }
-  }
-  BinaryWriter w(out);
-  if (state == nullptr) {
-    Histogram().EncodeTo(out);
-    w.U64(0);
-    return Status::Ok();
-  }
-  state->histogram.EncodeTo(out);
-  w.U64(state->phase_histograms.size());
-  for (const auto& [phase, histogram] : state->phase_histograms) {
-    w.I64(phase);
-    histogram.EncodeTo(out);
-  }
-  return Status::Ok();
-}
-
-Result<OperatorSnapshot> LatencySink::DecodeState(
-    std::string_view bytes) const {
-  BinaryReader r(bytes);
-  LatencyState state;
-  Status st = Histogram::DecodeFrom(&r, &state.histogram);
-  if (!st.ok()) return st;
-  uint64_t phase_count = 0;
-  st = r.U64(&phase_count);
-  if (!st.ok()) return st;
-  for (uint64_t i = 0; i < phase_count; ++i) {
-    int64_t phase = 0;
-    st = r.I64(&phase);
-    if (!st.ok()) return st;
-    Histogram histogram;
-    st = Histogram::DecodeFrom(&r, &histogram);
-    if (!st.ok()) return st;
-    if (!state.phase_histograms.emplace(phase, histogram).second) {
-      return Status::InvalidArgument("duplicate phase id in snapshot");
-    }
-  }
-  if (!r.done()) {
-    return Status::InvalidArgument("trailing bytes in latency-sink snapshot");
-  }
-  OperatorSnapshot snap;
-  snap.element_count = state.histogram.count();
-  snap.state = std::move(state);
-  return snap;
+  std::tie(histogram_, phase_histograms_) = state;
 }
 
 void LatencySink::Reset() {

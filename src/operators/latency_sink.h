@@ -22,6 +22,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "operators/sink.h"
 #include "recovery/state_snapshot.h"
@@ -33,7 +34,11 @@ namespace flexstream {
 /// only post-epoch input counts every element exactly once. Replayed
 /// elements are re-measured against the wall clock at replay time, so a
 /// recovered run's tail honestly includes the outage.
-class LatencySink : public Sink, public StatefulOperator {
+/// State: the overall histogram and the per-phase ones.
+class LatencySink
+    : public Sink,
+      public StatefulOperatorOf<
+          std::pair<Histogram, std::map<int64_t, Histogram>>> {
  public:
   /// `offset_attr` is the attribute holding the emit offset in
   /// microseconds relative to `epoch`. `phase_attr`, when given, holds the
@@ -54,14 +59,6 @@ class LatencySink : public Sink, public StatefulOperator {
 
   int64_t count() const;
 
-  OperatorSnapshot SnapshotState() const override;
-  void RestoreState(const OperatorSnapshot& snapshot) override;
-
-  bool SupportsDurableState() const override { return true; }
-  Status EncodeState(const OperatorSnapshot& snapshot,
-                     std::string* out) const override;
-  Result<OperatorSnapshot> DecodeState(std::string_view bytes) const override;
-
   void Reset() override;
 
  protected:
@@ -77,6 +74,12 @@ class LatencySink : public Sink, public StatefulOperator {
   void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 
  private:
+  State CaptureState() const override;
+  void InstallState(const State& state) override;
+  int64_t ElementCount(const State& state) const override {
+    return state.first.count();
+  }
+
   size_t offset_attr_;
   TimePoint epoch_;
   std::optional<size_t> phase_attr_;

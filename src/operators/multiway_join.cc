@@ -14,43 +14,12 @@ MultiwayJoin::MultiwayJoin(std::string name, AppTime window_micros,
                static_cast<int>(key_attrs.size())),
       window_micros_(window_micros) {
   CHECK_GE(key_attrs.size(), 2u);
-  inputs_.resize(key_attrs.size());
-  for (size_t i = 0; i < key_attrs.size(); ++i) {
-    inputs_[i].key_attr = key_attrs[i];
-  }
+  for (size_t key_attr : key_attrs) inputs_.emplace_back(key_attr);
 }
 
 void MultiwayJoin::Reset() {
   Operator::Reset();
-  for (Input& in : inputs_) {
-    in.table.clear();
-    in.expiry.clear();
-    in.stored = 0;
-  }
-}
-
-size_t MultiwayJoin::StateSize() const {
-  size_t total = 0;
-  for (const Input& in : inputs_) total += in.stored;
-  return total;
-}
-
-void MultiwayJoin::Input::Insert(const Tuple& tuple) {
-  const Value key = tuple.at(key_attr);
-  table[key].push_back(tuple);
-  expiry.emplace_back(key, tuple.timestamp());
-  ++stored;
-}
-
-void MultiwayJoin::Input::ExpireBefore(AppTime watermark) {
-  while (!expiry.empty() && expiry.front().second < watermark) {
-    auto it = table.find(expiry.front().first);
-    DCHECK(it != table.end());
-    it->second.pop_front();
-    if (it->second.empty()) table.erase(it);
-    expiry.pop_front();
-    --stored;
-  }
+  for (KeyedWindow& in : inputs_) in.Clear();
 }
 
 void MultiwayJoin::ProbeFrom(const Value& key, int arrival,
@@ -70,10 +39,10 @@ void MultiwayJoin::ProbeFrom(const Value& key, int arrival,
     ProbeFrom(key, arrival, next_input + 1, parts, out_ts);
     return;
   }
-  auto it = inputs_[next_input].table.find(key);
-  if (it == inputs_[next_input].table.end()) return;
+  const std::deque<Tuple>* matches = inputs_[next_input].Find(key);
+  if (matches == nullptr) return;
   const Tuple& arrived = *(*parts)[static_cast<size_t>(arrival)];
-  for (const Tuple& match : it->second) {
+  for (const Tuple& match : *matches) {
     // Window-band check relative to the arriving tuple (see
     // symmetric_hash_join.cc): schedule-independent combinations only.
     if (match.timestamp() < arrived.timestamp() - window_micros_ ||
@@ -90,106 +59,42 @@ void MultiwayJoin::Process(const Tuple& tuple, int port) {
   DCHECK_GE(port, 0);
   DCHECK_LT(port, num_inputs());
   const AppTime watermark = tuple.timestamp() - window_micros_;
-  for (Input& in : inputs_) in.ExpireBefore(watermark);
-  const Value key = tuple.at(inputs_[static_cast<size_t>(port)].key_attr);
+  for (KeyedWindow& in : inputs_) in.ExpireBefore(watermark);
+  const Value key = tuple.at(inputs_[static_cast<size_t>(port)].key_attr());
   std::vector<const Tuple*> parts(inputs_.size(), nullptr);
   parts[static_cast<size_t>(port)] = &tuple;
   ProbeFrom(key, port, 0, &parts, tuple.timestamp());
   inputs_[static_cast<size_t>(port)].Insert(tuple);
 }
 
-
-OperatorSnapshot MultiwayJoin::SnapshotState() const {
-  OperatorSnapshot snap;
-  snap.state = inputs_;
-  snap.element_count = static_cast<int64_t>(StateSize());
-  return snap;
+int64_t MultiwayJoin::ElementCount(const State& state) const {
+  size_t total = 0;
+  for (const KeyedWindow& in : state) total += in.size();
+  return static_cast<int64_t>(total);
 }
 
-void MultiwayJoin::RestoreState(const OperatorSnapshot& snapshot) {
-  inputs_ = std::any_cast<const std::vector<Input>&>(snapshot.state);
+void MultiwayJoin::Encode(const State& state, BinaryWriter* w) const {
+  w->U32(static_cast<uint32_t>(state.size()));
+  for (const KeyedWindow& in : state) Put(w, in);
 }
 
-Status MultiwayJoin::EncodeState(const OperatorSnapshot& snapshot,
-                                 std::string* out) const {
-  const std::vector<Input>* inputs = nullptr;
-  if (snapshot.state.has_value()) {
-    inputs = std::any_cast<std::vector<Input>>(&snapshot.state);
-    if (inputs == nullptr) {
-      return Status::InvalidArgument("snapshot is not a multiway-join snapshot");
-    }
-    if (inputs->size() != inputs_.size()) {
-      return Status::InvalidArgument("malformed multiway-join snapshot");
-    }
-  }
-  BinaryWriter w(out);
-  w.U32(static_cast<uint32_t>(inputs_.size()));
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    const Input& in = inputs != nullptr ? (*inputs)[i] : inputs_[i];
-    w.U64(inputs != nullptr ? in.key_attr : inputs_[i].key_attr);
-    if (inputs == nullptr) {
-      w.U64(0);
-      continue;
-    }
-    w.U64(in.stored);
-    // Arrival-order reconstruction via per-key cursors over the expiry
-    // queue (same idiom as SymmetricHashJoin::EncodeState).
-    std::unordered_map<Value, size_t, ValueHash> cursor;
-    for (const auto& entry : in.expiry) {
-      auto it = in.table.find(entry.first);
-      if (it == in.table.end()) {
-        return Status::Internal("join snapshot expiry/table mismatch");
-      }
-      size_t& index = cursor[entry.first];
-      if (index >= it->second.size()) {
-        return Status::Internal("join snapshot expiry/table mismatch");
-      }
-      w.Tuple(it->second[index++]);
-    }
-  }
-  return Status::Ok();
-}
-
-Result<OperatorSnapshot> MultiwayJoin::DecodeState(
-    std::string_view bytes) const {
-  BinaryReader r(bytes);
+Status MultiwayJoin::Decode(BinaryReader* r, State* state) const {
   uint32_t n = 0;
-  Status st = r.U32(&n);
-  if (!st.ok()) return st;
+  Status s = r->U32(&n);
+  if (!s.ok()) return s;
   if (n != inputs_.size()) {
     return Status::InvalidArgument(
         "multiway-join snapshot input count does not match operator");
   }
-  std::vector<Input> inputs(n);
+  state->resize(n);
   for (size_t i = 0; i < n; ++i) {
-    uint64_t key_attr = 0;
-    uint64_t count = 0;
-    st = r.U64(&key_attr);
-    if (st.ok()) st = r.U64(&count);
-    if (!st.ok()) return st;
-    if (key_attr != inputs_[i].key_attr) {
+    s = Get(r, &(*state)[i]);
+    if (!s.ok()) return s;
+    if ((*state)[i].key_attr() != inputs_[i].key_attr()) {
       return Status::InvalidArgument(
           "multiway-join snapshot key attribute does not match operator");
     }
-    inputs[i].key_attr = key_attr;
-    for (uint64_t t = 0; t < count; ++t) {
-      Tuple tuple = Tuple::OfInt(0, 0);
-      st = r.Tuple(&tuple);
-      if (!st.ok()) return st;
-      if (!tuple.is_data() || tuple.arity() <= key_attr) {
-        return Status::InvalidArgument("malformed join snapshot tuple");
-      }
-      inputs[i].Insert(tuple);
-    }
   }
-  if (!r.done()) {
-    return Status::InvalidArgument("trailing bytes in multiway-join snapshot");
-  }
-  OperatorSnapshot snap;
-  int64_t total = 0;
-  for (const Input& in : inputs) total += static_cast<int64_t>(in.stored);
-  snap.element_count = total;
-  snap.state = std::move(inputs);
-  return snap;
+  return Status::Ok();
 }
 }  // namespace flexstream

@@ -11,17 +11,17 @@
 #ifndef FLEXSTREAM_OPERATORS_MULTIWAY_JOIN_H_
 #define FLEXSTREAM_OPERATORS_MULTIWAY_JOIN_H_
 
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "operators/operator.h"
+#include "operators/window.h"
 #include "recovery/state_snapshot.h"
 
 namespace flexstream {
 
-class MultiwayJoin : public Operator, public StatefulOperator {
+class MultiwayJoin : public Operator,
+                     public StatefulOperatorOf<std::vector<KeyedWindow>> {
  public:
   /// One stream per entry of `key_attrs`; input i joins on attribute
   /// key_attrs[i]. Requires at least 2 inputs.
@@ -30,30 +30,22 @@ class MultiwayJoin : public Operator, public StatefulOperator {
 
   void Reset() override;
 
-  size_t StateSize() const;
+  size_t StateSize() const {
+    return static_cast<size_t>(ElementCount(inputs_));
+  }
   int num_inputs() const { return static_cast<int>(inputs_.size()); }
-
-  OperatorSnapshot SnapshotState() const override;
-  void RestoreState(const OperatorSnapshot& snapshot) override;
-
-  bool SupportsDurableState() const override { return true; }
-  Status EncodeState(const OperatorSnapshot& snapshot,
-                     std::string* out) const override;
-  Result<OperatorSnapshot> DecodeState(std::string_view bytes) const override;
 
  protected:
   void Process(const Tuple& tuple, int port) override;
 
  private:
-  struct Input {
-    size_t key_attr;
-    std::unordered_map<Value, std::deque<Tuple>, ValueHash> table;
-    std::deque<std::pair<Value, AppTime>> expiry;
-    size_t stored = 0;
-
-    void Insert(const Tuple& tuple);
-    void ExpireBefore(AppTime watermark);
-  };
+  State CaptureState() const override { return inputs_; }
+  void InstallState(const State& state) override { inputs_ = state; }
+  int64_t ElementCount(const State& state) const override;
+  /// A u32 input count, then each input's window; decoding requires the
+  /// count and every key attribute to match this join's.
+  void Encode(const State& state, BinaryWriter* w) const override;
+  Status Decode(BinaryReader* r, State* state) const override;
 
   /// Depth-first probe across inputs != arrival input, emitting complete
   /// combinations. `parts[i]` holds the tuple chosen for input i.
@@ -61,7 +53,7 @@ class MultiwayJoin : public Operator, public StatefulOperator {
                  std::vector<const Tuple*>* parts, AppTime out_ts);
 
   AppTime window_micros_;
-  std::vector<Input> inputs_;
+  State inputs_;
 };
 
 }  // namespace flexstream

@@ -104,53 +104,15 @@ void CountingSink::ConsumeBatch(TupleBatch&& batch, int port) {
                    std::memory_order_relaxed);
 }
 
-OperatorSnapshot CountingSink::SnapshotState() const {
-  OperatorSnapshot snap;
-  snap.state = count_.load(std::memory_order_relaxed);
-  snap.element_count = count_.load(std::memory_order_relaxed);
-  return snap;
-}
-
-void CountingSink::RestoreState(const OperatorSnapshot& snapshot) {
-  count_.store(std::any_cast<int64_t>(snapshot.state),
-               std::memory_order_relaxed);
-}
-
-Status CountingSink::EncodeState(const OperatorSnapshot& snapshot,
-                                 std::string* out) const {
-  int64_t count = 0;
-  if (snapshot.state.has_value()) {
-    const int64_t* p = std::any_cast<int64_t>(&snapshot.state);
-    if (p == nullptr) {
-      return Status::InvalidArgument(
-          "snapshot is not a counting-sink snapshot");
-    }
-    count = *p;
-  }
-  BinaryWriter(out).I64(count);
-  return Status::Ok();
-}
-
-Result<OperatorSnapshot> CountingSink::DecodeState(
-    std::string_view bytes) const {
-  BinaryReader r(bytes);
-  int64_t count = 0;
-  Status st = r.I64(&count);
-  if (!st.ok()) return st;
-  if (!r.done()) {
-    return Status::InvalidArgument(
-        "trailing bytes in counting-sink snapshot");
-  }
-  if (count < 0) {
+Status CountingSink::Decode(BinaryReader* r, State* state) const {
+  Status s = Get(r, state);
+  if (s.ok() && *state < 0) {
     return Status::InvalidArgument("counting-sink snapshot count negative");
   }
-  OperatorSnapshot snap;
-  snap.element_count = count;
-  snap.state = count;
-  return snap;
+  return s;
 }
 
-void CollectingSink::Chunks::Append(Tuple tuple) {
+void ResultChunks::Append(Tuple tuple) {
   if (tail.empty()) tail.reserve(kChunkSize);
   tail.push_back(std::move(tuple));
   if (tail.size() < kChunkSize) return;
@@ -160,7 +122,7 @@ void CollectingSink::Chunks::Append(Tuple tuple) {
   tail.clear();  // normalize the moved-from state
 }
 
-std::vector<Tuple> CollectingSink::Chunks::Flatten() const {
+std::vector<Tuple> ResultChunks::Flatten() const {
   std::vector<Tuple> out;
   out.reserve(size());
   for (const auto& chunk : sealed) {
@@ -170,75 +132,36 @@ std::vector<Tuple> CollectingSink::Chunks::Flatten() const {
   return out;
 }
 
+void Put(BinaryWriter* w, const ResultChunks& chunks) {
+  w->U64(chunks.size());
+  for (const auto& chunk : chunks.sealed) {
+    for (const Tuple& tuple : *chunk) w->Tuple(tuple);
+  }
+  for (const Tuple& tuple : chunks.tail) w->Tuple(tuple);
+}
+
+Status Get(BinaryReader* r, ResultChunks* chunks) {
+  uint64_t count = 0;
+  Status s = GetCount(r, &count);
+  *chunks = ResultChunks();
+  for (uint64_t i = 0; s.ok() && i < count; ++i) {
+    Tuple tuple;
+    s = Get(r, &tuple);
+    if (s.ok()) chunks->Append(std::move(tuple));
+  }
+  return s;
+}
+
 CollectingSink::CollectingSink(std::string name) : Sink(std::move(name)) {}
 
-OperatorSnapshot CollectingSink::SnapshotState() const {
+CollectingSink::State CollectingSink::CaptureState() const {
   std::lock_guard<std::mutex> lock(results_mutex_);
-  OperatorSnapshot snap;
-  snap.state = results_;
-  snap.element_count = static_cast<int64_t>(results_.size());
-  return snap;
+  return results_;
 }
 
-void CollectingSink::RestoreState(const OperatorSnapshot& snapshot) {
+void CollectingSink::InstallState(const State& state) {
   std::lock_guard<std::mutex> lock(results_mutex_);
-  results_ = std::any_cast<const Chunks&>(snapshot.state);
-}
-
-Status CollectingSink::EncodeState(const OperatorSnapshot& snapshot,
-                                   std::string* out) const {
-  const Chunks* results = nullptr;
-  if (snapshot.state.has_value()) {
-    results = std::any_cast<Chunks>(&snapshot.state);
-    if (results == nullptr) {
-      return Status::InvalidArgument(
-          "snapshot is not a collecting-sink snapshot");
-    }
-  }
-  BinaryWriter w(out);
-  if (results == nullptr) {
-    w.U64(0);
-    return Status::Ok();
-  }
-  // Flat, as before chunking: the count, then every tuple in order.
-  w.U64(results->size());
-  for (const auto& chunk : results->sealed) {
-    for (const Tuple& tuple : *chunk) w.Tuple(tuple);
-  }
-  for (const Tuple& tuple : results->tail) w.Tuple(tuple);
-  return Status::Ok();
-}
-
-Result<OperatorSnapshot> CollectingSink::DecodeState(
-    std::string_view bytes) const {
-  BinaryReader r(bytes);
-  uint64_t count = 0;
-  Status st = r.U64(&count);
-  if (!st.ok()) return st;
-  // Every stored tuple costs at least its fixed header, so a count
-  // beyond the remaining bytes is corrupt — reject it before it drives
-  // a long decode loop.
-  if (count > r.remaining()) {
-    return Status::InvalidArgument(
-        "collecting-sink count " + std::to_string(count) +
-        " exceeds the " + std::to_string(r.remaining()) +
-        " bytes remaining");
-  }
-  Chunks results;
-  for (uint64_t i = 0; i < count; ++i) {
-    Tuple tuple = Tuple::OfInt(0, 0);
-    st = r.Tuple(&tuple);
-    if (!st.ok()) return st;
-    results.Append(std::move(tuple));
-  }
-  if (!r.done()) {
-    return Status::InvalidArgument(
-        "trailing bytes in collecting-sink snapshot");
-  }
-  OperatorSnapshot snap;
-  snap.element_count = static_cast<int64_t>(results.size());
-  snap.state = std::move(results);
-  return snap;
+  results_ = state;
 }
 
 std::vector<Tuple> CollectingSink::TakeResults() {

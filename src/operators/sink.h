@@ -59,19 +59,11 @@ class Sink : public Operator {
 /// point so benches can print cumulative-results-over-time series (Fig 10).
 /// Stateful for recovery: restoring the checkpointed count (and replaying
 /// only post-epoch input) makes the final count exactly-once.
-class CountingSink : public Sink, public StatefulOperator {
+class CountingSink : public Sink, public StatefulOperatorOf<int64_t> {
  public:
   explicit CountingSink(std::string name);
 
   int64_t count() const { return count_.load(std::memory_order_relaxed); }
-
-  OperatorSnapshot SnapshotState() const override;
-  void RestoreState(const OperatorSnapshot& snapshot) override;
-
-  bool SupportsDurableState() const override { return true; }
-  Status EncodeState(const OperatorSnapshot& snapshot,
-                     std::string* out) const override;
-  Result<OperatorSnapshot> DecodeState(std::string_view bytes) const override;
 
   /// Enables per-arrival time recording relative to `start`.
   void StartTimeline(TimePoint start);
@@ -88,6 +80,14 @@ class CountingSink : public Sink, public StatefulOperator {
   void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 
  private:
+  State CaptureState() const override { return count(); }
+  void InstallState(const State& state) override {
+    count_.store(state, std::memory_order_relaxed);
+  }
+  int64_t ElementCount(const State& state) const override { return state; }
+  /// Also rejects a negative count.
+  Status Decode(BinaryReader* r, State* state) const override;
+
   std::atomic<int64_t> count_{0};
   std::mutex timeline_mutex_;
   bool timeline_enabled_ = false;
@@ -95,46 +95,46 @@ class CountingSink : public Sink, public StatefulOperator {
   std::vector<std::pair<double, int64_t>> timeline_;
 };
 
+/// CollectingSink's result store, which is also its snapshot state:
+/// sealed chunks of exactly kChunkSize tuples, immutable and shared by
+/// pointer, then one open tail. Copying it shares the sealed chunks and
+/// copies only the tail, so a per-epoch snapshot costs O(tail + chunk
+/// count) rather than O(results), and restoring one truncates the store to
+/// it. The chunk list is flat, so releasing any copy never recurses.
+struct ResultChunks {
+  /// Tuples per sealed chunk.
+  static constexpr size_t kChunkSize = 128;
+
+  std::vector<std::shared_ptr<const std::vector<Tuple>>> sealed;
+  std::vector<Tuple> tail;
+
+  size_t size() const { return sealed.size() * kChunkSize + tail.size(); }
+  void Append(Tuple tuple);
+  /// All tuples in arrival order.
+  std::vector<Tuple> Flatten() const;
+};
+
+/// Durable form: flat, as before chunking — the count, then every tuple in
+/// arrival order.
+void Put(BinaryWriter* w, const ResultChunks& chunks);
+Status Get(BinaryReader* r, ResultChunks* chunks);
+
 /// Stores every received tuple; the store is mutex-protected so tests can
 /// inspect results from the main thread after WaitUntilClosed().
 /// Stateful for recovery: truncating the store back to the committed
 /// epoch's snapshot deduplicates replayed results exactly (the epoch +
 /// arrival-sequence dedup of DESIGN.md §10), so a recovered run's results
 /// are an exact multiset match against an undisturbed one.
-class CollectingSink : public Sink, public StatefulOperator {
+class CollectingSink : public Sink, public StatefulOperatorOf<ResultChunks> {
  public:
-  /// Tuples per sealed chunk of the result store.
-  static constexpr size_t kChunkSize = 128;
-
-  /// The result store, which is also the snapshot payload: sealed chunks
-  /// of exactly kChunkSize tuples, immutable and shared by pointer, then
-  /// one open tail. Copying it shares the sealed chunks and copies only
-  /// the tail, so a per-epoch snapshot costs O(tail + chunk count) rather
-  /// than O(results), and restoring one truncates the store to it. The
-  /// chunk list is flat, so releasing any copy never recurses.
-  struct Chunks {
-    std::vector<std::shared_ptr<const std::vector<Tuple>>> sealed;
-    std::vector<Tuple> tail;
-
-    size_t size() const { return sealed.size() * kChunkSize + tail.size(); }
-    void Append(Tuple tuple);
-    /// All tuples in arrival order.
-    std::vector<Tuple> Flatten() const;
-  };
+  using Chunks = ResultChunks;
+  static constexpr size_t kChunkSize = ResultChunks::kChunkSize;
 
   explicit CollectingSink(std::string name);
 
   std::vector<Tuple> TakeResults();
   std::vector<Tuple> Results() const;
   size_t size() const;
-
-  OperatorSnapshot SnapshotState() const override;
-  void RestoreState(const OperatorSnapshot& snapshot) override;
-
-  bool SupportsDurableState() const override { return true; }
-  Status EncodeState(const OperatorSnapshot& snapshot,
-                     std::string* out) const override;
-  Result<OperatorSnapshot> DecodeState(std::string_view bytes) const override;
 
   void Reset() override;
 
@@ -143,6 +143,12 @@ class CollectingSink : public Sink, public StatefulOperator {
   void ConsumeBatch(TupleBatch&& batch, int port) override;
 
  private:
+  State CaptureState() const override;
+  void InstallState(const State& state) override;
+  int64_t ElementCount(const State& state) const override {
+    return static_cast<int64_t>(state.size());
+  }
+
   mutable std::mutex results_mutex_;
   Chunks results_;
 };

@@ -10,10 +10,9 @@
 #ifndef FLEXSTREAM_OPERATORS_SYMMETRIC_HASH_JOIN_H_
 #define FLEXSTREAM_OPERATORS_SYMMETRIC_HASH_JOIN_H_
 
-#include <deque>
+#include <array>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "operators/operator.h"
@@ -24,7 +23,9 @@
 
 namespace flexstream {
 
-class SymmetricHashJoin : public Operator, public StatefulOperator {
+class SymmetricHashJoin
+    : public Operator,
+      public StatefulOperatorOf<std::array<KeyedWindow, 2>> {
  public:
   static constexpr int kLeftPort = 0;
   static constexpr int kRightPort = 1;
@@ -38,15 +39,7 @@ class SymmetricHashJoin : public Operator, public StatefulOperator {
 
   /// Current number of stored tuples (both windows) — the join's state
   /// size, one of the memory metrics benchmarks report.
-  size_t StateSize() const;
-
-  OperatorSnapshot SnapshotState() const override;
-  void RestoreState(const OperatorSnapshot& snapshot) override;
-
-  bool SupportsDurableState() const override { return true; }
-  Status EncodeState(const OperatorSnapshot& snapshot,
-                     std::string* out) const override;
-  Result<OperatorSnapshot> DecodeState(std::string_view bytes) const override;
+  size_t StateSize() const { return sides_[0].size() + sides_[1].size(); }
 
   std::unique_ptr<Operator> CloneFresh(std::string name) const override;
 
@@ -72,19 +65,16 @@ class SymmetricHashJoin : public Operator, public StatefulOperator {
   void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 
  private:
-  struct Side {
-    size_t key_attr;
-    std::unordered_map<Value, std::deque<Tuple>, ValueHash> table;
-    // (key, timestamp) in arrival order for expiration.
-    std::deque<std::pair<Value, AppTime>> expiry;
-    size_t stored = 0;
-
-    void Insert(const Tuple& tuple);
-    void ExpireBefore(AppTime watermark);
-  };
+  State CaptureState() const override { return sides_; }
+  void InstallState(const State& state) override { sides_ = state; }
+  int64_t ElementCount(const State& state) const override {
+    return static_cast<int64_t>(state[0].size() + state[1].size());
+  }
+  /// Also requires each side's key attribute to match this join's.
+  Status Decode(BinaryReader* r, State* state) const override;
 
   AppTime window_micros_;
-  Side sides_[2];
+  State sides_;
 };
 
 }  // namespace flexstream

@@ -1,9 +1,7 @@
 #include "operators/symmetric_nl_join.h"
 
 #include <utility>
-#include <vector>
 
-#include "util/binary_io.h"
 #include "util/logging.h"
 
 namespace flexstream {
@@ -52,63 +50,15 @@ void SymmetricNlJoin::Process(const Tuple& tuple, int port) {
   own.Add(tuple);
 }
 
-
-OperatorSnapshot SymmetricNlJoin::SnapshotState() const {
-  OperatorSnapshot snap;
-  snap.state = std::vector<SlidingWindow>{windows_[0], windows_[1]};
-  snap.element_count = static_cast<int64_t>(StateSize());
-  return snap;
-}
-
-void SymmetricNlJoin::RestoreState(const OperatorSnapshot& snapshot) {
-  const auto& windows =
-      std::any_cast<const std::vector<SlidingWindow>&>(snapshot.state);
-  windows_[0] = windows[0];
-  windows_[1] = windows[1];
-}
-
-Status SymmetricNlJoin::EncodeState(const OperatorSnapshot& snapshot,
-                                    std::string* out) const {
-  const std::vector<SlidingWindow>* windows = nullptr;
-  if (snapshot.state.has_value()) {
-    windows = std::any_cast<std::vector<SlidingWindow>>(&snapshot.state);
-    if (windows == nullptr) {
-      return Status::InvalidArgument("snapshot is not an nl-join snapshot");
-    }
-    if (windows->size() != 2) {
-      return Status::InvalidArgument("malformed nl-join snapshot");
-    }
-  }
-  for (int s = 0; s < 2; ++s) {
-    if (windows == nullptr) {
-      EncodeWindow(SlidingWindow(windows_[s].duration_micros()), out);
-    } else {
-      EncodeWindow((*windows)[s], out);
-    }
-  }
-  return Status::Ok();
-}
-
-Result<OperatorSnapshot> SymmetricNlJoin::DecodeState(
-    std::string_view bytes) const {
-  BinaryReader r(bytes);
-  std::vector<SlidingWindow> windows;
-  for (int s = 0; s < 2; ++s) {
-    Result<SlidingWindow> window = DecodeWindow(&r);
-    if (!window.ok()) return std::move(window).status();
-    if (window->duration_micros() != windows_[s].duration_micros()) {
+Status SymmetricNlJoin::Decode(BinaryReader* r, State* state) const {
+  Status s = Get(r, state);
+  if (!s.ok()) return s;
+  for (int side = 0; side < 2; ++side) {
+    if ((*state)[side].duration_micros() != windows_[side].duration_micros()) {
       return Status::InvalidArgument(
           "nl-join snapshot window duration does not match operator");
     }
-    windows.push_back(std::move(window).value());
   }
-  if (!r.done()) {
-    return Status::InvalidArgument("trailing bytes in nl-join snapshot");
-  }
-  OperatorSnapshot snap;
-  snap.element_count =
-      static_cast<int64_t>(windows[0].size() + windows[1].size());
-  snap.state = std::move(windows);
-  return snap;
+  return Status::Ok();
 }
 }  // namespace flexstream

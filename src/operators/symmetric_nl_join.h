@@ -8,6 +8,7 @@
 #ifndef FLEXSTREAM_OPERATORS_SYMMETRIC_NL_JOIN_H_
 #define FLEXSTREAM_OPERATORS_SYMMETRIC_NL_JOIN_H_
 
+#include <array>
 #include <functional>
 #include <string>
 
@@ -17,7 +18,9 @@
 
 namespace flexstream {
 
-class SymmetricNlJoin : public Operator, public StatefulOperator {
+class SymmetricNlJoin
+    : public Operator,
+      public StatefulOperatorOf<std::array<SlidingWindow, 2>> {
  public:
   static constexpr int kLeftPort = 0;
   static constexpr int kRightPort = 1;
@@ -35,23 +38,23 @@ class SymmetricNlJoin : public Operator, public StatefulOperator {
   void Reset() override;
 
   size_t StateSize() const {
-    return windows_[0].size() + windows_[1].size();
+    return static_cast<size_t>(ElementCount(windows_));
   }
-
-  OperatorSnapshot SnapshotState() const override;
-  void RestoreState(const OperatorSnapshot& snapshot) override;
-
-  bool SupportsDurableState() const override { return true; }
-  Status EncodeState(const OperatorSnapshot& snapshot,
-                     std::string* out) const override;
-  Result<OperatorSnapshot> DecodeState(std::string_view bytes) const override;
 
  protected:
   void Process(const Tuple& tuple, int port) override;
 
  private:
+  State CaptureState() const override { return windows_; }
+  void InstallState(const State& state) override { windows_ = state; }
+  int64_t ElementCount(const State& state) const override {
+    return static_cast<int64_t>(state[0].size() + state[1].size());
+  }
+  /// Also requires both window durations to match this join's.
+  Status Decode(BinaryReader* r, State* state) const override;
+
   Predicate predicate_;
-  SlidingWindow windows_[2];
+  State windows_;
 };
 
 }  // namespace flexstream

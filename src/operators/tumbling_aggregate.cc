@@ -1,11 +1,9 @@
 #include "operators/tumbling_aggregate.h"
 
 #include <algorithm>
-#include <tuple>
 #include <utility>
 
 #include "tuple/batch_pool.h"
-#include "util/binary_io.h"
 #include "util/logging.h"
 
 namespace flexstream {
@@ -38,7 +36,7 @@ void TumblingAggregate::Reset() {
   groups_.clear();
 }
 
-double TumblingAggregate::Finish(const GroupState& g) const {
+double TumblingAggregate::Finish(const TumblingGroup& g) const {
   switch (options_.kind) {
     case AggregateKind::kCount:
       return static_cast<double>(g.count);
@@ -88,7 +86,7 @@ void TumblingAggregate::Process(const Tuple& tuple, int port) {
   const double v = options_.kind == AggregateKind::kCount
                        ? 0.0
                        : tuple.at(options_.value_attr).ToDouble();
-  GroupState& g = groups_[key];
+  TumblingGroup& g = groups_[key];
   if (g.count == 0) {
     g.min = v;
     g.max = v;
@@ -130,7 +128,7 @@ void TumblingAggregate::ProcessColumnar(ColumnarBatchPtr batch, int port) {
       options_.group_attr ? schema.type(group_attr) : Value::Type::kInt64;
   // The single-group (and run-of-equal-int-keys) state is cached across
   // rows; a window flush invalidates it.
-  GroupState* cached = nullptr;
+  TumblingGroup* cached = nullptr;
   for (size_t i = 0; i < n; ++i) {
     const AppTime window = WindowIndexOf(ts[i]);
     if (has_window_ && window != current_window_) {
@@ -140,7 +138,7 @@ void TumblingAggregate::ProcessColumnar(ColumnarBatchPtr batch, int port) {
     }
     has_window_ = true;
     current_window_ = window;
-    GroupState* g;
+    TumblingGroup* g;
     if (!options_.group_attr) {
       if (cached == nullptr) cached = &groups_[Value(int64_t{0})];
       g = cached;
@@ -179,90 +177,4 @@ void TumblingAggregate::OnAllInputsClosed(AppTime timestamp) {
   EmitEos(timestamp);
 }
 
-
-OperatorSnapshot TumblingAggregate::SnapshotState() const {
-  OperatorSnapshot snap;
-  snap.state = std::make_tuple(has_window_, current_window_, groups_);
-  snap.element_count = static_cast<int64_t>(groups_.size());
-  return snap;
-}
-
-void TumblingAggregate::RestoreState(const OperatorSnapshot& snapshot) {
-  using State = std::tuple<bool, AppTime, std::map<Value, GroupState>>;
-  const auto& state = std::any_cast<const State&>(snapshot.state);
-  has_window_ = std::get<0>(state);
-  current_window_ = std::get<1>(state);
-  groups_ = std::get<2>(state);
-}
-
-Status TumblingAggregate::EncodeState(const OperatorSnapshot& snapshot,
-                                      std::string* out) const {
-  using State = std::tuple<bool, AppTime, std::map<Value, GroupState>>;
-  const State* state = nullptr;
-  if (snapshot.state.has_value()) {
-    state = std::any_cast<State>(&snapshot.state);
-    if (state == nullptr) {
-      return Status::InvalidArgument(
-          "snapshot is not a tumbling-aggregate snapshot");
-    }
-  }
-  BinaryWriter w(out);
-  if (state == nullptr) {
-    w.U8(0);
-    w.I64(0);
-    w.U64(0);
-    return Status::Ok();
-  }
-  w.U8(std::get<0>(*state) ? 1 : 0);
-  w.I64(std::get<1>(*state));
-  const std::map<Value, GroupState>& groups = std::get<2>(*state);
-  w.U64(groups.size());
-  for (const auto& [key, group] : groups) {
-    w.Value(key);
-    w.I64(group.count);
-    w.F64(group.sum);
-    w.F64(group.min);
-    w.F64(group.max);
-  }
-  return Status::Ok();
-}
-
-Result<OperatorSnapshot> TumblingAggregate::DecodeState(
-    std::string_view bytes) const {
-  BinaryReader r(bytes);
-  uint8_t has_window = 0;
-  int64_t current_window = 0;
-  uint64_t group_count = 0;
-  Status st = r.U8(&has_window);
-  if (st.ok()) st = r.I64(&current_window);
-  if (st.ok()) st = r.U64(&group_count);
-  if (!st.ok()) return st;
-  if (has_window > 1) {
-    return Status::InvalidArgument("malformed tumbling-aggregate snapshot");
-  }
-  std::map<Value, GroupState> groups;
-  for (uint64_t g = 0; g < group_count; ++g) {
-    Value key;
-    st = r.Value(&key);
-    if (!st.ok()) return st;
-    GroupState group;
-    st = r.I64(&group.count);
-    if (st.ok()) st = r.F64(&group.sum);
-    if (st.ok()) st = r.F64(&group.min);
-    if (st.ok()) st = r.F64(&group.max);
-    if (!st.ok()) return st;
-    if (!groups.emplace(std::move(key), group).second) {
-      return Status::InvalidArgument("duplicate group key in snapshot");
-    }
-  }
-  if (!r.done()) {
-    return Status::InvalidArgument(
-        "trailing bytes in tumbling-aggregate snapshot");
-  }
-  OperatorSnapshot snap;
-  snap.element_count = static_cast<int64_t>(groups.size());
-  snap.state =
-      std::make_tuple(has_window == 1, current_window, std::move(groups));
-  return snap;
-}
 }  // namespace flexstream

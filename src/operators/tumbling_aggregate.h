@@ -13,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 
 #include "operators/aggregate.h"
 #include "operators/operator.h"
@@ -21,7 +22,26 @@
 
 namespace flexstream {
 
-class TumblingAggregate : public Operator, public StatefulOperator {
+/// One group's partial aggregate in a TumblingAggregate's open window.
+struct TumblingGroup {
+  int64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+
+  friend void Put(BinaryWriter* w, const TumblingGroup& g) {
+    Put(w, g.count, g.sum, g.min, g.max);
+  }
+  friend Status Get(BinaryReader* r, TumblingGroup* g) {
+    return Get(r, &g->count, &g->sum, &g->min, &g->max);
+  }
+};
+
+/// State: whether a window is open, its index, and its groups.
+class TumblingAggregate
+    : public Operator,
+      public StatefulOperatorOf<
+          std::tuple<bool, AppTime, std::map<Value, TumblingGroup>>> {
  public:
   struct Options {
     AggregateKind kind = AggregateKind::kCount;
@@ -45,14 +65,6 @@ class TumblingAggregate : public Operator, public StatefulOperator {
     return std::make_unique<TumblingAggregate>(std::move(name), options_);
   }
 
-  OperatorSnapshot SnapshotState() const override;
-  void RestoreState(const OperatorSnapshot& snapshot) override;
-
-  bool SupportsDurableState() const override { return true; }
-  Status EncodeState(const OperatorSnapshot& snapshot,
-                     std::string* out) const override;
-  Result<OperatorSnapshot> DecodeState(std::string_view bytes) const override;
-
  protected:
   void Process(const Tuple& tuple, int port) override;
   /// Columnar kernel: the grouped update loop reads the timestamp, value
@@ -63,24 +75,27 @@ class TumblingAggregate : public Operator, public StatefulOperator {
   void OnAllInputsClosed(AppTime timestamp) override;
 
  private:
-  struct GroupState {
-    int64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
+  State CaptureState() const override {
+    return {has_window_, current_window_, groups_};
+  }
+  void InstallState(const State& state) override {
+    std::tie(has_window_, current_window_, groups_) = state;
+  }
+  int64_t ElementCount(const State& state) const override {
+    return static_cast<int64_t>(std::get<2>(state).size());
+  }
 
   AppTime WindowIndexOf(AppTime ts) const {
     return ts / options_.window_micros;
   }
-  double Finish(const GroupState& g) const;
+  double Finish(const TumblingGroup& g) const;
   void FlushCurrentWindow();
 
   Options options_;
   bool has_window_ = false;
   AppTime current_window_ = 0;
   // Ordered map => deterministic emission order of groups per window.
-  std::map<Value, GroupState> groups_;
+  std::map<Value, TumblingGroup> groups_;
 };
 
 }  // namespace flexstream

@@ -1,4 +1,6 @@
-// Time-based sliding window buffer.
+// Time-based window buffers: SlidingWindow for the windowed aggregates,
+// Distinct and the nested-loops join; KeyedWindow, the same window indexed
+// by a key attribute, for each input of the hash joins.
 //
 // Windows in flexstream are defined over *application time* (the timestamp
 // carried in each tuple), so window contents are a deterministic function
@@ -14,19 +16,23 @@
 
 #include <deque>
 #include <functional>
-#include <string>
+#include <unordered_map>
+#include <utility>
 
 #include "tuple/tuple.h"
+#include "tuple/value.h"
 #include "util/status.h"
 
 namespace flexstream {
 
 class BinaryReader;
+class BinaryWriter;
 
 class SlidingWindow {
  public:
   /// `duration_micros` is the window length w: a tuple with timestamp ts
   /// stays in the window while the watermark is <= ts + w.
+  SlidingWindow() = default;
   explicit SlidingWindow(AppTime duration_micros);
 
   void Add(const Tuple& tuple);
@@ -47,15 +53,62 @@ class SlidingWindow {
   void Clear() { contents_.clear(); }
 
  private:
-  AppTime duration_micros_;
+  AppTime duration_micros_ = 0;
   std::deque<Tuple> contents_;
 };
 
-/// Durable-checkpoint serialization (DESIGN.md §16): duration + contents
-/// in window order. Deterministic, so the byte-exact round-trip tests can
-/// pin the encoding of every window-carrying operator snapshot.
-void EncodeWindow(const SlidingWindow& window, std::string* out);
-Result<SlidingWindow> DecodeWindow(BinaryReader* reader);
+/// Durable form (DESIGN.md §16): duration, then the contents in window
+/// order. Decoding rejects contents out of timestamp order, which
+/// ExpireBefore could not expire correctly.
+void Put(BinaryWriter* w, const SlidingWindow& window);
+Status Get(BinaryReader* r, SlidingWindow* window);
+
+/// One join input's window: the stored tuples indexed by their key
+/// attribute, plus an arrival-order expiry queue. Inputs are
+/// timestamp-monotone, so the oldest tuple of each key is at the front of
+/// its bucket and expiration pops from the fronts.
+class KeyedWindow {
+ public:
+  KeyedWindow() = default;
+  explicit KeyedWindow(size_t key_attr) : key_attr_(key_attr) {}
+
+  void Insert(const Tuple& tuple);
+  /// Removes all tuples with timestamp < watermark, oldest first.
+  void ExpireBefore(AppTime watermark);
+  void Clear();
+
+  /// The stored tuples with `key`, oldest first; nullptr when none.
+  const std::deque<Tuple>* Find(const Value& key) const {
+    auto it = table_.find(key);
+    return it == table_.end() ? nullptr : &it->second;
+  }
+
+  /// Calls `fn` on every stored tuple in arrival order.
+  template <typename Fn>
+  void ForEachInArrivalOrder(Fn&& fn) const {
+    // The i-th expiry entry for key k pairs with the i-th tuple of k's
+    // bucket (both FIFO), so a per-key cursor walk recovers the arrivals.
+    std::unordered_map<Value, size_t, ValueHash> cursor;
+    for (const auto& entry : expiry_) {
+      fn(table_.at(entry.first)[cursor[entry.first]++]);
+    }
+  }
+
+  size_t key_attr() const { return key_attr_; }
+  size_t size() const { return expiry_.size(); }
+
+ private:
+  size_t key_attr_ = 0;
+  std::unordered_map<Value, std::deque<Tuple>, ValueHash> table_;
+  // (key, timestamp) in arrival order for expiration.
+  std::deque<std::pair<Value, AppTime>> expiry_;
+};
+
+/// Durable form: key attribute, count, then the stored tuples in arrival
+/// order. Decoding rejects tuples out of timestamp order or without the
+/// key attribute.
+void Put(BinaryWriter* w, const KeyedWindow& window);
+Status Get(BinaryReader* r, KeyedWindow* window);
 
 }  // namespace flexstream
 

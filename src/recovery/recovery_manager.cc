@@ -29,8 +29,7 @@ Status RecoveryManager::Arm(QueryGraph* graph) {
   const bool durable = !options_.durable_dir.empty();
   if (durable) {
     // Validate before touching the graph: durable checkpointing needs
-    // every stateful operator encodable and every record/cursor name
-    // unique (restore matches by name).
+    // every record/cursor name unique (restore matches by name).
     std::set<std::string> names;
     for (Node* node : graph->nodes()) {
       if (node->is_queue()) continue;
@@ -40,13 +39,8 @@ Status RecoveryManager::Arm(QueryGraph* graph) {
       }
       auto* op = dynamic_cast<Operator*>(node);
       if (op == nullptr) continue;
-      auto* stateful = dynamic_cast<StatefulOperator*>(op);
-      if (stateful != nullptr && !stateful->SupportsDurableState()) {
-        return Status::FailedPrecondition(
-            "durable checkpoints: stateful operator '" + op->name() +
-            "' does not implement EncodeState/DecodeState");
-      }
-      if ((stateful != nullptr || node->is_source()) &&
+      const bool stateful = dynamic_cast<StatefulOperator*>(op) != nullptr;
+      if ((stateful || node->is_source()) &&
           !names.insert(op->name()).second) {
         return Status::FailedPrecondition(
             "durable checkpoints: duplicate operator name '" + op->name() +

@@ -196,4 +196,26 @@ Status BinaryReader::Tuple(flexstream::Tuple* t) {
                                  std::to_string(kind));
 }
 
+Status Get(BinaryReader* r, bool* v) {
+  uint8_t byte = 0;
+  Status s = r->U8(&byte);
+  if (!s.ok()) return s;
+  if (byte > 1) {
+    return Status::InvalidArgument("bool byte " + std::to_string(byte));
+  }
+  *v = byte == 1;
+  return Status::Ok();
+}
+
+Status GetCount(BinaryReader* r, uint64_t* count) {
+  Status s = r->U64(count);
+  if (!s.ok()) return s;
+  if (*count > r->remaining()) {
+    return Status::InvalidArgument(
+        "element count " + std::to_string(*count) + " exceeds the " +
+        std::to_string(r->remaining()) + " bytes remaining");
+  }
+  return Status::Ok();
+}
+
 }  // namespace flexstream

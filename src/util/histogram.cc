@@ -135,28 +135,26 @@ void Histogram::Reset() {
   max_ = 0.0;
 }
 
-void Histogram::EncodeTo(std::string* out) const {
-  BinaryWriter w(out);
+void Put(BinaryWriter* w, const Histogram& h) {
+  constexpr int kBucketCount = Histogram::kBucketCount;
   uint32_t nonzero = 0;
-  for (int64_t b : buckets_) {
+  for (int64_t b : h.buckets_) {
     if (b != 0) ++nonzero;
   }
-  w.U32(nonzero);
+  w->U32(nonzero);
   for (int i = 0; i < kBucketCount; ++i) {
-    if (buckets_[i] == 0) continue;
-    w.U32(static_cast<uint32_t>(i));
-    w.I64(buckets_[i]);
+    if (h.buckets_[i] == 0) continue;
+    w->U32(static_cast<uint32_t>(i));
+    w->I64(h.buckets_[i]);
   }
-  w.I64(count_);
-  w.F64(sum_);
-  w.F64(min_);
-  w.F64(max_);
+  Put(w, h.count_, h.sum_, h.min_, h.max_);
 }
 
-Status Histogram::DecodeFrom(BinaryReader* reader, Histogram* out) {
+Status Get(BinaryReader* r, Histogram* out) {
+  constexpr int kBucketCount = Histogram::kBucketCount;
   Histogram h;
   uint32_t nonzero = 0;
-  Status s = reader->U32(&nonzero);
+  Status s = r->U32(&nonzero);
   if (!s.ok()) return s;
   if (nonzero > static_cast<uint32_t>(kBucketCount)) {
     return Status::InvalidArgument("histogram bucket count out of range");
@@ -164,18 +162,15 @@ Status Histogram::DecodeFrom(BinaryReader* reader, Histogram* out) {
   for (uint32_t i = 0; i < nonzero; ++i) {
     uint32_t index = 0;
     int64_t value = 0;
-    s = reader->U32(&index);
-    if (s.ok()) s = reader->I64(&value);
+    s = r->U32(&index);
+    if (s.ok()) s = r->I64(&value);
     if (!s.ok()) return s;
     if (index >= static_cast<uint32_t>(kBucketCount)) {
       return Status::InvalidArgument("histogram bucket index out of range");
     }
     h.buckets_[index] = value;
   }
-  s = reader->I64(&h.count_);
-  if (s.ok()) s = reader->F64(&h.sum_);
-  if (s.ok()) s = reader->F64(&h.min_);
-  if (s.ok()) s = reader->F64(&h.max_);
+  s = Get(r, &h.count_, &h.sum_, &h.min_, &h.max_);
   if (!s.ok()) return s;
   *out = h;
   return Status::Ok();

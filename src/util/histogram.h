@@ -16,6 +16,7 @@
 namespace flexstream {
 
 class BinaryReader;
+class BinaryWriter;
 
 class Histogram {
  public:
@@ -75,8 +76,8 @@ class Histogram {
   /// internal state — bucket counts, count, sum, min, max — so a decoded
   /// histogram compares operator== to the original. Non-empty buckets are
   /// run-length indexed (most of the 290 buckets are zero in practice).
-  void EncodeTo(std::string* out) const;
-  static Status DecodeFrom(BinaryReader* reader, Histogram* out);
+  friend void Put(BinaryWriter* w, const Histogram& h);
+  friend Status Get(BinaryReader* r, Histogram* h);
 
  private:
   static constexpr int kBucketsPerDecade = 32;

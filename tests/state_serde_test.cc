@@ -8,6 +8,8 @@
 //
 // Runs under the `check-durability` CMake target (ctest -R "StateSerde").
 
+#include <cstdint>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
@@ -273,6 +275,82 @@ TEST(StateSerdeTest, DecodedJoinStateBehavesIdentically) {
   EXPECT_EQ(sink->TakeResults().size(), 1u);
 }
 
+
+// Decoders reject states that break an invariant the operator relies on
+// but only debug builds assert. Each test patches valid bytes into one
+// such shape.
+
+/// Overwrites the eight little-endian bytes at `offset` with `bits`.
+void Patch64(std::string* bytes, size_t offset, uint64_t bits) {
+  ASSERT_LE(offset + 8, bytes->size());
+  for (int i = 0; i < 8; ++i) {
+    (*bytes)[offset + i] = static_cast<char>(bits >> (8 * i));
+  }
+}
+
+void ExpectInvalid(StatefulOperator* op, const std::string& bytes) {
+  Result<OperatorSnapshot> decoded = op->DecodeState(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+      << decoded.status().message();
+}
+
+// Expiration pops from the front, so a window out of timestamp order
+// would keep expired tuples.
+TEST(StateSerdeTest, WindowOutOfTimestampOrderIsRejected) {
+  QueryGraph graph;
+  QueryBuilder qb(&graph);
+  Source* src = qb.AddSource("s");
+  Distinct* dedup = qb.Dedup(src, "dedup", 10'000);
+  qb.CollectSink(dedup, "sink");
+  src->Push(Tuple::OfInt(1, 10));
+  src->Push(Tuple::OfInt(2, 20));
+  std::string bytes;
+  ASSERT_TRUE(dedup->EncodeState(dedup->SnapshotState(), &bytes).ok());
+  // Duration (8), count (8), then the first tuple's kind (1) and timestamp.
+  Patch64(&bytes, 17, 30);
+  ExpectInvalid(dedup, bytes);
+}
+
+TEST(StateSerdeTest, JoinWindowOutOfTimestampOrderIsRejected) {
+  QueryGraph graph;
+  QueryBuilder qb(&graph);
+  Source* left = qb.AddSource("l");
+  Source* right = qb.AddSource("r");
+  SymmetricHashJoin* join = qb.HashJoin(left, right, "join", 10'000);
+  qb.CollectSink(join, "sink");
+  left->Push(Tuple::OfInt(1, 10));
+  left->Push(Tuple::OfInt(2, 20));
+  std::string bytes;
+  ASSERT_TRUE(join->EncodeState(join->SnapshotState(), &bytes).ok());
+  // Key attribute (8), count (8), then the first left tuple's kind (1) and
+  // timestamp.
+  Patch64(&bytes, 17, 30);
+  ExpectInvalid(join, bytes);
+}
+
+// Eviction erases each evicted window value from the ordered multiset; a
+// value missing there would make it erase end().
+TEST(StateSerdeTest, CountWindowOrderedValuesMustMatchItsWindow) {
+  QueryGraph graph;
+  QueryBuilder qb(&graph);
+  Source* src = qb.AddSource("s");
+  CountWindowAggregate::Options options;
+  options.kind = AggregateKind::kMin;
+  options.window_rows = 4;
+  CountWindowAggregate* agg = qb.CountWindow(src, "cw", options);
+  qb.CollectSink(agg, "sink");
+  src->Push(Tuple::OfDouble(1.0, 1));
+  src->Push(Tuple::OfDouble(2.0, 2));
+  std::string bytes;
+  ASSERT_TRUE(agg->EncodeState(agg->SnapshotState(), &bytes).ok());
+  // The ordered values are last; replace the largest, 2.0, with 5.0.
+  const double five = 5.0;
+  uint64_t bits = 0;
+  std::memcpy(&bits, &five, sizeof(bits));
+  Patch64(&bytes, bytes.size() - 8, bits);
+  ExpectInvalid(agg, bytes);
+}
 
 // Golden bytes: each stateful operator's durable encoding of one fixture
 // state, as earlier builds wrote it. Durable stores left behind by those
