@@ -1,10 +1,10 @@
 // Binary symmetric hash join (SHJ) over sliding time windows.
 //
-// The join of Section 6.3's decoupling experiment. Each side maintains a
-// hash table keyed on its join attribute plus an expiration queue; an
-// arriving element expires both windows to its watermark, probes the
-// opposite hash table, emits one concatenated result per match, and is
-// inserted into its own side. Output attribute order is always
+// The join of Section 6.3's decoupling experiment. Each side is a
+// KeyedWindow (operators/window.h): a hash table keyed on its join
+// attribute plus an expiration queue. An arriving element expires both
+// windows to its watermark, probes the opposite hash table, emits one
+// concatenated result per match, and is inserted into its own side. Output attribute order is always
 // (left-tuple attrs, right-tuple attrs) regardless of which side arrived.
 
 #ifndef FLEXSTREAM_OPERATORS_SYMMETRIC_HASH_JOIN_H_

@@ -30,9 +30,9 @@ class BinaryWriter;
 
 class SlidingWindow {
  public:
+  SlidingWindow() = default;
   /// `duration_micros` is the window length w: a tuple with timestamp ts
   /// stays in the window while the watermark is <= ts + w.
-  SlidingWindow() = default;
   explicit SlidingWindow(AppTime duration_micros);
 
   void Add(const Tuple& tuple);

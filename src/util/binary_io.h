@@ -94,10 +94,10 @@ class BinaryReader {
 
 // ---------------------------------------------------------------------------
 // Generic codec. Scalars are fixed-width (bool as one byte); vectors,
-// deques, multisets and maps carry a u64 element count; pairs, tuples and arrays
-// are their fields in order with no prefix. Decoding rejects a count larger
-// than the bytes remaining (every element costs at least one byte), a
-// duplicate map key, and a bool other than 0 or 1.
+// deques, multisets and maps carry a u64 element count; pairs, tuples and
+// arrays are their fields in order with no prefix. Decoding rejects a count
+// larger than the bytes remaining (every element costs at least one byte),
+// a duplicate map key, and a bool other than 0 or 1.
 
 inline void Put(BinaryWriter* w, bool v) { w->U8(v ? 1 : 0); }
 inline void Put(BinaryWriter* w, int64_t v) { w->I64(v); }
@@ -149,8 +149,8 @@ void PutSeq(BinaryWriter* w, const Seq& seq) {
   for (const auto& v : seq) Put(w, v);
 }
 
-/// Decodes count-prefixed (key, value) or element entries of type `Entry`
-/// into `*c`; `insert` adds one and reports whether it was new.
+/// Clears `*c`, then decodes a count-prefixed run of `Entry` values into
+/// it; `insert` adds one and returns false on a duplicate key.
 template <typename Entry, typename C, typename Insert>
 Status GetSeq(BinaryReader* r, C* c, Insert insert) {
   c->clear();
