@@ -98,8 +98,9 @@ struct EngineOptions {
   /// Durable checkpoints (DESIGN.md §16): non-empty (with checkpointing
   /// enabled) persists every committed epoch's operator snapshots and
   /// source replay cursors to this directory, enabling ColdRestart after a
-  /// process death. Requires every stateful operator in the graph to
-  /// support durable state — Configure fails otherwise.
+  /// process death. Every stateful operator encodes its state; Configure
+  /// fails only when two stateful operators or sources share a name
+  /// (records are matched by name on restore).
   std::string durable_checkpoint_dir;
   /// Storage backend for the durable store (nullptr = the real
   /// filesystem; the chaos tier injects a FaultyStorageEnv).

@@ -22,9 +22,40 @@ std::atomic<bool> g_stats_enabled{true};
 // DI call chains).
 thread_local double tl_child_micros = 0.0;
 
-// The node whose Emit/drain loop is making the current Receive() call.
-// Barrier alignment keys input channels on it (variadic operators receive
-// every producer on port 0, so the port alone cannot identify a channel).
+/// Sleeps `micros` (simulated blocking, transient-fault backoff) and books
+/// the wait as child time. Waiting is not computing: neither the waiting
+/// operator's c(v) nor its DI upstream's may include it.
+void WaitAsChildTime(double micros) {
+  if (micros < 1.0) return;
+  const TimePoint start = Now();
+  std::this_thread::sleep_for(
+      std::chrono::microseconds(static_cast<int64_t>(micros)));
+  tl_child_micros += static_cast<double>(ToMicros(Now() - start));
+}
+
+// Per-payload halves of Operator::FanOut: how an edge receives a payload,
+// and the copy each edge but the last gets. Tuples travel as const& to the
+// earlier edges (Receive copies only what it keeps); batches are copied.
+void DeliverTo(const Node::OutEdge& edge, const Tuple& tuple) {
+  edge.target->Receive(tuple, edge.port);
+}
+void DeliverTo(const Node::OutEdge& edge, Tuple&& tuple) {
+  edge.target->Receive(std::move(tuple), edge.port);
+}
+void DeliverTo(const Node::OutEdge& edge, TupleBatch&& batch) {
+  edge.target->ReceiveBatch(std::move(batch), edge.port);
+}
+void DeliverTo(const Node::OutEdge& edge, ColumnarBatchPtr&& batch) {
+  edge.target->ReceiveColumnar(std::move(batch), edge.port);
+}
+const Tuple& EdgeCopy(const Tuple& tuple) { return tuple; }
+TupleBatch EdgeCopy(const TupleBatch& batch) { return batch; }
+ColumnarBatchPtr EdgeCopy(const ColumnarBatchPtr& batch) {
+  ColumnarBatchPtr copy = columnar::AcquireBatch(batch->schema_ptr());
+  copy->CopyFrom(*batch);
+  return copy;
+}
+
 }  // namespace
 
 void SetStatsCollectionEnabled(bool enabled) {
@@ -45,17 +76,6 @@ void Operator::SetSimulatedCostMicros(double micros) {
 void Operator::SetSimulatedBlockingMicros(double micros) {
   simulated_blocking_micros_ = micros;
 }
-
-namespace {
-/// The simulated-blocking sleep. Kept out of the cost-stats window: it
-/// models waiting (I/O), not computing, so c(v) must not see it.
-void SleepBlockingMicros(double micros) {
-  if (micros >= 1.0) {
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(static_cast<int64_t>(micros)));
-  }
-}
-}  // namespace
 
 std::unique_ptr<Operator> Operator::CloneFresh(std::string) const {
   return nullptr;
@@ -116,10 +136,7 @@ bool Operator::PassesFaultHook(const Tuple& tuple, int port) {
           std::uniform_real_distribution<double> unit(0.0, 1.0);
           sleep_micros *= 1.0 - retry_backoff_.jitter * unit(*retry_rng_);
         }
-        if (sleep_micros >= 1.0) {
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(static_cast<int64_t>(sleep_micros)));
-        }
+        WaitAsChildTime(sleep_micros);
         break;
       }
     }
@@ -139,13 +156,82 @@ void Operator::SetSerializedReceive(bool enabled) {
   }
 }
 
-void Operator::Receive(const Tuple& tuple, int port) {
-  if (receive_mutex_ != nullptr) {
-    std::lock_guard<std::mutex> lock(*receive_mutex_);
-    ReceiveLocked(tuple, port);
-    return;
+template <typename Deliver>
+void Operator::Serialized(const Deliver& deliver) {
+  if (receive_mutex_ == nullptr) return deliver();
+  std::lock_guard<std::mutex> lock(*receive_mutex_);
+  deliver();
+}
+
+template <typename Step>
+bool Operator::Gate(size_t n, const Step& step) {
+  DCHECK(!closed_) << DebugString() << " received data after close";
+  // A failed operator is poisoned: it drops data silently (the failure is
+  // already recorded in the RunStatus) but keeps honoring EOS so the rest
+  // of the graph can close down.
+  if (failed_.load(std::memory_order_relaxed)) return false;
+  const auto simulate = [this, n] {
+    if (simulated_blocking_micros_ > 0.0) {
+      WaitAsChildTime(simulated_blocking_micros_ * static_cast<double>(n));
+    }
+    if (simulated_cost_micros_ > 0.0) {
+      BurnMicros(simulated_cost_micros_ * static_cast<double>(n));
+    }
+  };
+  if (!StatsCollectionEnabled()) {
+    simulate();
+    step();
+    return true;
   }
-  ReceiveLocked(tuple, port);
+  // The self-time window: time spent in nested deliveries (DI downstream)
+  // and in waits accumulates in tl_child_micros and is subtracted, so c(v)
+  // is this operator's own cost (Section 5.1.2).
+  const TimePoint start = Now();
+  stats().RecordArrival(start, static_cast<int64_t>(n));
+  const double saved_child_micros = tl_child_micros;
+  tl_child_micros = 0.0;
+  simulate();
+  const size_t processed = step();
+  const double total_micros = static_cast<double>(ToMicros(Now() - start));
+  const double self_micros = std::max(0.0, total_micros - tl_child_micros);
+  stats().RecordProcessed(self_micros, static_cast<int64_t>(processed));
+  tl_child_micros = saved_child_micros + total_micros;
+  return true;
+}
+
+// Always inlined: with the per-tuple path's constant n = 1 the loop folds
+// away to the hook check, the stamp and the Process call.
+__attribute__((always_inline)) inline size_t Operator::ProcessElements(
+    const Tuple* tuples, size_t n, int port) {
+  // The fault hook votes and the seq stamp is read element by element. The
+  // sender is re-declared before every further element because a processed
+  // element's downstream Emit overwrites the thread-local, and sender-keyed
+  // consumers (the Merge's lane lookup) must see the channel the batch
+  // arrived on. The gate has checked the first element for poison.
+  const Node* sender = tl_delivery_sender_;
+  size_t processed = 0;
+  for (;;) {
+    const Tuple& tuple = tuples[processed];
+    if (fault_hook_ != nullptr && !PassesFaultHook(tuple, port)) break;
+    if (stamp_emit_seq_) current_input_seq_ = tuple.seq();
+    Process(tuple, port);
+    // The first element that poisons the operator (a permanent fault, an
+    // exhausted retry budget, or a Fail from Process) drops the rest.
+    if (++processed == n || failed_.load(std::memory_order_relaxed)) break;
+    tl_delivery_sender_ = sender;
+  }
+  return processed;
+}
+
+void Operator::Receive(const Tuple& tuple, int port) {
+  Serialized([&] {
+    // Barrier alignment engages lazily: until the first barrier arrives,
+    // every delivery takes the plain path below at zero extra cost.
+    if (epoch_state_ != nullptr || tuple.is_barrier()) {
+      if (HandleEpochDelivery(tuple, port)) return;
+    }
+    DeliverLocked(tuple, port);
+  });
 }
 
 void Operator::Receive(Tuple&& tuple, int port) {
@@ -156,13 +242,28 @@ void Operator::Receive(Tuple&& tuple, int port) {
   Operator::Receive(static_cast<const Tuple&>(tuple), port);
 }
 
-void Operator::ReceiveBatch(TupleBatch&& batch, int port) {
-  if (receive_mutex_ != nullptr) {
-    std::lock_guard<std::mutex> lock(*receive_mutex_);
-    ReceiveBatchLocked(std::move(batch), port);
+void Operator::DeliverLocked(const Tuple& tuple, int port) {
+  if (!tuple.is_eos()) {
+    Gate(1, [&] { return ProcessElements(&tuple, 1, port); });
     return;
   }
-  ReceiveBatchLocked(std::move(batch), port);
+  OnInputEos(tl_delivery_sender_, port);
+  max_eos_timestamp_ = std::max(max_eos_timestamp_, tuple.timestamp());
+  ++eos_received_;
+  DCHECK_LE(eos_received_, std::max<size_t>(fan_in(), 1));
+  if (eos_received_ >= fan_in() && !closed_) {
+    closed_ = true;
+    OnAllInputsClosed(max_eos_timestamp_);
+    // Tell the checkpoint coordinator this operator is out of the
+    // alignment game: its final state is fully reflected downstream.
+    if (const std::shared_ptr<const EpochCallback> cb = epoch_callback_) {
+      (*cb)(kEpochClosed);
+    }
+  }
+}
+
+void Operator::ReceiveBatch(TupleBatch&& batch, int port) {
+  Serialized([&] { ReceiveBatchLocked(std::move(batch), port); });
 }
 
 void Operator::ReceiveBatchLocked(TupleBatch&& batch, int port) {
@@ -181,71 +282,15 @@ void Operator::ReceiveBatchLocked(TupleBatch&& batch, int port) {
 }
 
 void Operator::DeliverBatchLocked(TupleBatch&& batch, int port) {
-  DCHECK(!closed_) << DebugString() << " received data after close";
-  if (failed_.load(std::memory_order_relaxed)) return;
   const size_t n = batch.size();
-  const bool per_element = fault_hook_ != nullptr || stamp_emit_seq_;
-  if (simulated_blocking_micros_ > 0.0 && !per_element) {
-    SleepBlockingMicros(simulated_blocking_micros_ * static_cast<double>(n));
-  }
-  if (!StatsCollectionEnabled()) {
-    if (per_element) {
-      ProcessElements(batch, port);
-      return;
-    }
-    if (simulated_cost_micros_ > 0.0) {
-      BurnMicros(simulated_cost_micros_ * static_cast<double>(n));
-    }
-    ProcessBatch(std::move(batch), port);
+  if (fault_hook_ != nullptr || stamp_emit_seq_) {
+    Gate(n, [&] { return ProcessElements(&*batch.begin(), n, port); });
     return;
   }
-  const TimePoint start = Now();
-  stats().RecordArrival(start, static_cast<int64_t>(n));
-  const double saved_child_micros = tl_child_micros;
-  tl_child_micros = 0.0;
-  size_t processed = n;
-  if (per_element) {
-    processed = ProcessElements(batch, port);
-  } else {
-    if (simulated_cost_micros_ > 0.0) {
-      BurnMicros(simulated_cost_micros_ * static_cast<double>(n));
-    }
+  Gate(n, [&] {
     ProcessBatch(std::move(batch), port);
-  }
-  const double total_micros = static_cast<double>(ToMicros(Now() - start));
-  const double self_micros = std::max(0.0, total_micros - tl_child_micros);
-  stats().RecordProcessed(self_micros, static_cast<int64_t>(processed));
-  tl_child_micros = saved_child_micros + total_micros;
-}
-
-size_t Operator::ProcessElements(const TupleBatch& batch, int port) {
-  // Per-element machinery inside one batch-level gate: the fault hook
-  // votes and the seq stamp is read element by element, exactly as on the
-  // per-tuple path. The sender is re-declared before every element
-  // because a processed element's downstream Emit overwrites the
-  // thread-local, and sender-keyed consumers (the Merge's lane lookup)
-  // must see the channel the batch arrived on.
-  const Node* sender = tl_delivery_sender_;
-  size_t processed = 0;
-  for (const Tuple& tuple : batch) {
-    // The first element that poisons the operator (a permanent fault, an
-    // exhausted retry budget, or a Fail from Process) drops the rest.
-    if (failed_.load(std::memory_order_relaxed)) break;
-    tl_delivery_sender_ = sender;
-    if (fault_hook_ != nullptr && !PassesFaultHook(tuple, port)) break;
-    if (stamp_emit_seq_) current_input_seq_ = tuple.seq();
-    if (simulated_blocking_micros_ > 0.0) {
-      // Waiting, not computing: booked as child time so the batch's c(v)
-      // excludes it, as the per-tuple path does.
-      const TimePoint sleep_start = Now();
-      SleepBlockingMicros(simulated_blocking_micros_);
-      tl_child_micros += static_cast<double>(ToMicros(Now() - sleep_start));
-    }
-    if (simulated_cost_micros_ > 0.0) BurnMicros(simulated_cost_micros_);
-    Process(tuple, port);
-    ++processed;
-  }
-  return processed;
+    return n;
+  });
 }
 
 void Operator::ProcessBatch(TupleBatch&& batch, int port) {
@@ -253,12 +298,7 @@ void Operator::ProcessBatch(TupleBatch&& batch, int port) {
 }
 
 void Operator::ReceiveColumnar(ColumnarBatchPtr batch, int port) {
-  if (receive_mutex_ != nullptr) {
-    std::lock_guard<std::mutex> lock(*receive_mutex_);
-    ReceiveColumnarLocked(std::move(batch), port);
-    return;
-  }
-  ReceiveColumnarLocked(std::move(batch), port);
+  Serialized([&] { ReceiveColumnarLocked(std::move(batch), port); });
 }
 
 void Operator::ReceiveColumnarLocked(ColumnarBatchPtr batch, int port) {
@@ -278,34 +318,12 @@ void Operator::ReceiveColumnarLocked(ColumnarBatchPtr batch, int port) {
                        port);
     return;
   }
-  DCHECK(!closed_) << DebugString() << " received data after close";
-  if (failed_.load(std::memory_order_relaxed)) {
-    columnar::ReleaseBatch(std::move(batch));
-    return;
-  }
   const size_t n = batch->size();
-  if (simulated_blocking_micros_ > 0.0) {
-    SleepBlockingMicros(simulated_blocking_micros_ * static_cast<double>(n));
-  }
-  if (!StatsCollectionEnabled()) {
-    if (simulated_cost_micros_ > 0.0) {
-      BurnMicros(simulated_cost_micros_ * static_cast<double>(n));
-    }
+  const bool ran = Gate(n, [&] {
     ProcessColumnar(std::move(batch), port);
-    return;
-  }
-  const TimePoint start = Now();
-  stats().RecordArrival(start, static_cast<int64_t>(n));
-  const double saved_child_micros = tl_child_micros;
-  tl_child_micros = 0.0;
-  if (simulated_cost_micros_ > 0.0) {
-    BurnMicros(simulated_cost_micros_ * static_cast<double>(n));
-  }
-  ProcessColumnar(std::move(batch), port);
-  const double total_micros = static_cast<double>(ToMicros(Now() - start));
-  const double self_micros = std::max(0.0, total_micros - tl_child_micros);
-  stats().RecordProcessed(self_micros, static_cast<int64_t>(n));
-  tl_child_micros = saved_child_micros + total_micros;
+    return n;
+  });
+  if (!ran) columnar::ReleaseBatch(std::move(batch));
 }
 
 void Operator::ProcessColumnar(ColumnarBatchPtr batch, int port) {
@@ -314,15 +332,6 @@ void Operator::ProcessColumnar(ColumnarBatchPtr batch, int port) {
 
 SchemaPtr Operator::InferOutputSchema(const std::vector<SchemaPtr>&) const {
   return nullptr;
-}
-
-void Operator::ReceiveLocked(const Tuple& tuple, int port) {
-  // Barrier alignment engages lazily: until the first barrier arrives,
-  // every delivery takes the plain path below at zero extra cost.
-  if (epoch_state_ != nullptr || tuple.is_barrier()) {
-    if (HandleEpochDelivery(tuple, port)) return;
-  }
-  DeliverLocked(tuple, port);
 }
 
 bool Operator::HandleEpochDelivery(const Tuple& tuple, int port) {
@@ -465,52 +474,23 @@ void Operator::SetRecoveredEpoch(uint64_t epoch) { InitEpochState(epoch); }
 
 thread_local const Node* Operator::tl_delivery_sender_ = nullptr;
 
-void Operator::DeliverLocked(const Tuple& tuple, int port) {
-  if (tuple.is_eos()) {
-    OnInputEos(tl_delivery_sender_, port);
-    max_eos_timestamp_ = std::max(max_eos_timestamp_, tuple.timestamp());
-    ++eos_received_;
-    DCHECK_LE(eos_received_, std::max<size_t>(fan_in(), 1));
-    if (eos_received_ >= fan_in() && !closed_) {
-      closed_ = true;
-      OnAllInputsClosed(max_eos_timestamp_);
-      // Tell the checkpoint coordinator this operator is out of the
-      // alignment game: its final state is fully reflected downstream.
-      if (const std::shared_ptr<const EpochCallback> cb = epoch_callback_) {
-        (*cb)(kEpochClosed);
-      }
-    }
-    return;
-  }
-  DCHECK(!closed_) << DebugString() << " received data after close";
-  // A failed operator is poisoned: it drops data silently (the failure is
-  // already recorded in the RunStatus) but keeps honoring EOS above so the
-  // rest of the graph can close down.
-  if (failed_.load(std::memory_order_relaxed)) return;
-  if (fault_hook_ != nullptr && !PassesFaultHook(tuple, port)) return;
-  if (stamp_emit_seq_) current_input_seq_ = tuple.seq();
-  if (simulated_blocking_micros_ > 0.0) {
-    SleepBlockingMicros(simulated_blocking_micros_);
-  }
-  if (!StatsCollectionEnabled()) {
-    if (simulated_cost_micros_ > 0.0) BurnMicros(simulated_cost_micros_);
-    Process(tuple, port);
-    return;
-  }
-  const TimePoint start = Now();
-  stats().RecordArrival(start);
-  const double saved_child_micros = tl_child_micros;
-  tl_child_micros = 0.0;
-  // The synthetic burn sits inside the measured window so c(v) reflects it.
-  if (simulated_cost_micros_ > 0.0) BurnMicros(simulated_cost_micros_);
-  Process(tuple, port);
-  const double total_micros = static_cast<double>(ToMicros(Now() - start));
-  const double self_micros = std::max(0.0, total_micros - tl_child_micros);
-  stats().RecordProcessed(self_micros);
-  tl_child_micros = saved_child_micros + total_micros;
-}
-
 void Operator::OnAllInputsClosed(AppTime timestamp) { EmitEos(timestamp); }
+
+template <typename Payload>
+void Operator::FanOut(size_t first, size_t end, size_t emitted,
+                      Payload&& payload) {
+  if (emitted > 0 && StatsCollectionEnabled()) {
+    stats().RecordEmitted(static_cast<int64_t>(emitted));
+  }
+  if (first >= end) return;
+  const std::vector<OutEdge>& edges = outputs();
+  for (size_t i = first; i + 1 < end; ++i) {
+    tl_delivery_sender_ = this;  // re-set per edge: nested Emits overwrite it
+    DeliverTo(edges[i], EdgeCopy(payload));
+  }
+  tl_delivery_sender_ = this;
+  DeliverTo(edges[end - 1], std::forward<Payload>(payload));
+}
 
 void Operator::Emit(const Tuple& tuple) {
   DCHECK(tuple.is_data());
@@ -520,43 +500,18 @@ void Operator::Emit(const Tuple& tuple) {
     EmitMove(Tuple(tuple));
     return;
   }
-  if (StatsCollectionEnabled()) stats().RecordEmitted(1);
-  for (const auto& edge : outputs()) {
-    tl_delivery_sender_ = this;  // re-set per edge: nested Emits overwrite it
-    edge.target->Receive(tuple, edge.port);
-  }
+  FanOut(0, outputs().size(), 1, tuple);
 }
 
 void Operator::EmitMove(Tuple&& tuple) {
   DCHECK(tuple.is_data());
   if (stamp_emit_seq_) tuple.set_seq(current_input_seq_);
-  if (StatsCollectionEnabled()) stats().RecordEmitted(1);
-  const auto& edges = outputs();
-  if (edges.empty()) return;
-  for (size_t i = 0; i + 1 < edges.size(); ++i) {
-    tl_delivery_sender_ = this;
-    edges[i].target->Receive(tuple, edges[i].port);
-  }
-  const OutEdge& last = edges.back();
-  tl_delivery_sender_ = this;
-  last.target->Receive(std::move(tuple), last.port);
+  FanOut(0, outputs().size(), 1, std::move(tuple));
 }
 
 void Operator::EmitBatch(TupleBatch&& batch) {
   if (batch.empty()) return;
-  if (StatsCollectionEnabled()) {
-    stats().RecordEmitted(static_cast<int64_t>(batch.size()));
-  }
-  const auto& edges = outputs();
-  if (edges.empty()) return;
-  for (size_t i = 0; i + 1 < edges.size(); ++i) {
-    TupleBatch copy = batch;
-    tl_delivery_sender_ = this;
-    edges[i].target->ReceiveBatch(std::move(copy), edges[i].port);
-  }
-  const OutEdge& last = edges.back();
-  tl_delivery_sender_ = this;
-  last.target->ReceiveBatch(std::move(batch), last.port);
+  FanOut(0, outputs().size(), batch.size(), std::move(batch));
 }
 
 void Operator::EmitColumnar(ColumnarBatchPtr batch) {
@@ -564,23 +519,8 @@ void Operator::EmitColumnar(ColumnarBatchPtr batch) {
     columnar::ReleaseBatch(std::move(batch));
     return;
   }
-  if (StatsCollectionEnabled()) {
-    stats().RecordEmitted(static_cast<int64_t>(batch->size()));
-  }
-  const auto& edges = outputs();
-  if (edges.empty()) {
-    columnar::ReleaseBatch(std::move(batch));
-    return;
-  }
-  for (size_t i = 0; i + 1 < edges.size(); ++i) {
-    ColumnarBatchPtr copy = columnar::AcquireBatch(batch->schema_ptr());
-    copy->CopyFrom(*batch);
-    tl_delivery_sender_ = this;
-    edges[i].target->ReceiveColumnar(std::move(copy), edges[i].port);
-  }
-  const OutEdge& last = edges.back();
-  tl_delivery_sender_ = this;
-  last.target->ReceiveColumnar(std::move(batch), last.port);
+  FanOut(0, outputs().size(), batch->size(), std::move(batch));
+  columnar::ReleaseBatch(std::move(batch));  // no subscriber took it
 }
 
 void Operator::EmitTo(size_t output_index, const Tuple& tuple) {
@@ -590,47 +530,29 @@ void Operator::EmitTo(size_t output_index, const Tuple& tuple) {
     EmitTo(output_index, Tuple(tuple));  // copy so the stamp can land
     return;
   }
-  if (StatsCollectionEnabled()) stats().RecordEmitted(1);
-  const OutEdge& edge = outputs()[output_index];
-  tl_delivery_sender_ = this;
-  edge.target->Receive(tuple, edge.port);
+  FanOut(output_index, output_index + 1, 1, tuple);
 }
 
 void Operator::EmitTo(size_t output_index, Tuple&& tuple) {
   DCHECK(tuple.is_data());
   DCHECK_LT(output_index, outputs().size());
   if (stamp_emit_seq_) tuple.set_seq(current_input_seq_);
-  if (StatsCollectionEnabled()) stats().RecordEmitted(1);
-  const OutEdge& edge = outputs()[output_index];
-  tl_delivery_sender_ = this;
-  edge.target->Receive(std::move(tuple), edge.port);
+  FanOut(output_index, output_index + 1, 1, std::move(tuple));
 }
 
 void Operator::EmitBatchTo(size_t output_index, TupleBatch&& batch) {
   if (batch.empty()) return;
   DCHECK_LT(output_index, outputs().size());
-  if (StatsCollectionEnabled()) {
-    stats().RecordEmitted(static_cast<int64_t>(batch.size()));
-  }
-  const OutEdge& edge = outputs()[output_index];
-  tl_delivery_sender_ = this;
-  edge.target->ReceiveBatch(std::move(batch), edge.port);
+  FanOut(output_index, output_index + 1, batch.size(), std::move(batch));
 }
 
 void Operator::EmitEos(AppTime timestamp) {
-  const Tuple eos = Tuple::EndOfStream(timestamp);
-  for (const auto& edge : outputs()) {
-    tl_delivery_sender_ = this;
-    edge.target->Receive(eos, edge.port);
-  }
+  FanOut(0, outputs().size(), 0, Tuple::EndOfStream(timestamp));
 }
 
 void Operator::EmitBarrier(const Tuple& barrier) {
   DCHECK(barrier.is_barrier());
-  for (const auto& edge : outputs()) {
-    tl_delivery_sender_ = this;
-    edge.target->Receive(barrier, edge.port);
-  }
+  FanOut(0, outputs().size(), 0, barrier);
 }
 
 void Operator::Reset() {

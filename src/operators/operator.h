@@ -83,14 +83,21 @@ class Operator : public Node {
 
   /// Delivers `tuple` on input `port` in the calling thread.
   ///
-  /// The default implementation:
-  ///  * data tuple: records arrival + processing-cost statistics and calls
-  ///    Process(). Cost accounting measures *self* time — time spent inside
-  ///    downstream Receive() calls triggered by Emit() is attributed to the
-  ///    downstream operators, so c(v) is per-operator as Section 5.1.2
-  ///    requires even though DI executes whole subgraphs in one call stack.
-  ///  * EOS tuple: counts punctuations; once every input edge has delivered
-  ///    EOS, calls OnAllInputsClosed() exactly once.
+  /// Every data delivery — this one, ReceiveBatch and ReceiveColumnar —
+  /// passes the one delivery gate (DESIGN.md §11), the per-tuple case being
+  /// n = 1. The gate drops the elements of a poisoned (failed) operator,
+  /// sleeps the simulated blocking and burns the simulated cost, and
+  /// measures c(v) as *self* time: time spent inside downstream Receive()
+  /// calls triggered by Emit() is attributed to the downstream operators,
+  /// so c(v) is per-operator as Section 5.1.2 requires even though DI
+  /// executes whole subgraphs in one call stack. Waiting is not computing:
+  /// simulated blocking and transient-fault backoff count as child time,
+  /// in neither this operator's c(v) nor its DI upstream's. Arrivals count
+  /// every element that reaches a healthy operator's gate; processed
+  /// counts the elements Process ran on.
+  ///
+  /// An EOS tuple bypasses the gate: it is counted, and once every input
+  /// edge has delivered EOS, OnAllInputsClosed() runs exactly once.
   virtual void Receive(const Tuple& tuple, int port);
 
   /// Move-aware delivery. The default forwards to the const& overload
@@ -104,16 +111,16 @@ class Operator : public Node {
 
   /// Batch delivery (DESIGN.md §11): semantically identical to calling
   /// Receive() once per element, in order, on `port`, but pays the virtual
-  /// dispatch, serialization lock and statistics bookkeeping once per
-  /// batch. Batches carry data tuples only — punctuations (EOS, barriers)
-  /// always travel through Receive() — and producers flush before every
+  /// dispatch, serialization lock and the delivery gate once per batch.
+  /// Batches carry data tuples only — punctuations (EOS, barriers) always
+  /// travel through Receive() — and producers flush before every
   /// punctuation, so a batch never straddles a barrier. With barrier
   /// alignment armed, a batch from an open channel is delivered whole and
-  /// a batch from a blocked channel is appended whole to its backlog. With
-  /// a fault hook or seq stamping engaged, the hook votes and the stamp is
-  /// read per element inside one batch-level gate (one stats record per
-  /// batch), stopping at the first element that poisons the operator —
-  /// the per-tuple path's semantics exactly.
+  /// a batch from a blocked channel is appended whole to its backlog. The
+  /// gate hands the batch to ProcessBatch, or — with a fault hook or seq
+  /// stamping engaged — runs the per-element loop of the per-tuple path
+  /// (the hook votes and the stamp is read per element), stopping at the
+  /// first element that poisons the operator.
   virtual void ReceiveBatch(TupleBatch&& batch, int port);
 
   /// Columnar delivery (DESIGN.md §17): semantically identical to calling
@@ -121,12 +128,10 @@ class Operator : public Node {
   /// base implementation does whenever the operator has no columnar kernel
   /// (MarkColumnarNative not set), a fault hook or seq stamping is engaged,
   /// or the sender's barrier channel is blocked: the batch materializes to
-  /// a TupleBatch, recycles its column storage, and takes the row-wise
-  /// path, which applies every gate exactly. Columnar-native operators
-  /// otherwise get the whole typed batch via ProcessColumnar — an armed
-  /// epoch with the channel open included — after the batch-level gates
-  /// (failure poisoning, stats, simulated cost/blocking) have been applied
-  /// once.
+  /// a TupleBatch, recycles its column storage, and takes the row batch
+  /// path. Columnar-native operators otherwise get the whole typed batch
+  /// via ProcessColumnar — an armed epoch with the channel open included —
+  /// through the same delivery gate as a row batch.
   virtual void ReceiveColumnar(ColumnarBatchPtr batch, int port);
 
   /// True when this operator has a columnar kernel (see MarkColumnarNative).
@@ -297,17 +302,17 @@ class Operator : public Node {
   /// Emit() zero or more times.
   virtual void Process(const Tuple& tuple, int port) = 0;
 
-  /// Handles one batch of data elements — all Receive-path gates (failure
-  /// poisoning, stats, simulated cost) have already been applied for the
-  /// whole batch. Batch-native operators (Selection, Projection, MapOp,
-  /// UnionOp, the counting/collecting sinks) override this to transform
-  /// the batch in place and forward it with EmitBatch(); the default
-  /// unbundles into per-tuple Process() calls, so batches simply dissolve
-  /// at the first operator that hasn't opted in.
+  /// Handles one batch of data elements — the delivery gate (failure
+  /// poisoning, stats, simulated cost and blocking) has already been
+  /// applied for the whole batch. Batch-native operators (Selection,
+  /// Projection, MapOp, UnionOp, the counting/collecting sinks) override
+  /// this to transform the batch in place and forward it with
+  /// EmitBatch(); the default unbundles into per-tuple Process() calls, so
+  /// batches simply dissolve at the first operator that hasn't opted in.
   virtual void ProcessBatch(TupleBatch&& batch, int port);
 
   /// Handles one columnar batch — only ever invoked on columnar-native
-  /// operators, with all batch-level gates already applied. Kernels verify
+  /// operators, with the delivery gate already applied. Kernels verify
   /// the batch's schema fits their configuration and otherwise materialize
   /// and delegate to ProcessBatch (the default does exactly that).
   virtual void ProcessColumnar(ColumnarBatchPtr batch, int port);
@@ -408,34 +413,49 @@ class Operator : public Node {
   /// SetDeliverySender. Read only by barrier channel lookup.
   static thread_local const Node* tl_delivery_sender_;
 
-  void ReceiveLocked(const Tuple& tuple, int port);
-  /// Batch delivery under the (optional) serialization lock: buffers the
-  /// batch behind a blocked barrier channel, else delivers it.
+  /// Runs `deliver` under the serialization lock of SetSerializedReceive
+  /// (directly when serialization is off) — the one wrapper behind
+  /// Receive, ReceiveBatch and ReceiveColumnar.
+  template <typename Deliver>
+  void Serialized(const Deliver& deliver);
+  /// The one delivery gate for `n` >= 1 data elements: poison check,
+  /// simulated blocking (booked as child time), the self-time stats window
+  /// (or its stats-off branch) and the simulated burn around `step`, which
+  /// returns how many elements Process ran on. Returns false when the
+  /// operator is poisoned and `step` did not run.
+  template <typename Step>
+  bool Gate(size_t n, const Step& step);
+  /// The per-element loop over `n` >= 1 elements: runs the fault hook, sets
+  /// the seq stamp and calls Process for each element in order, stopping
+  /// at the first that poisons the operator. Returns the number of
+  /// elements processed.
+  size_t ProcessElements(const Tuple* tuples, size_t n, int port);
+  /// The pre-barrier per-tuple delivery: EOS accounting, or the gate.
+  void DeliverLocked(const Tuple& tuple, int port);
+  /// Row batch delivery under the (optional) serialization lock: buffers
+  /// the batch behind a blocked barrier channel, else delivers it.
   void ReceiveBatchLocked(TupleBatch&& batch, int port);
-  /// The batch analogue of DeliverLocked: applies the Receive-path gates
-  /// once for the whole batch and hands it to ProcessBatch, or to
-  /// ProcessElements when a fault hook or seq stamping is engaged.
+  /// Passes a pre-barrier row batch through the gate.
   void DeliverBatchLocked(TupleBatch&& batch, int port);
-  /// Runs the fault hook, sets the seq stamp and calls Process for each
-  /// element in order, stopping at the first that poisons the operator.
-  /// Returns the number of elements processed.
-  size_t ProcessElements(const TupleBatch& batch, int port);
-  /// Columnar delivery under the (optional) serialization lock: applies
-  /// the batch-level gates once, or materializes onto the row-wise path
-  /// when the operator lacks a kernel, per-element machinery is engaged,
-  /// or the sender's barrier channel is blocked.
+  /// Columnar delivery under the (optional) serialization lock: the row
+  /// batch fallback, or the gate around ProcessColumnar.
   void ReceiveColumnarLocked(ColumnarBatchPtr batch, int port);
   /// True when barrier alignment is holding back the current sender's
   /// channel. Requires epoch_state_.
   bool SenderChannelBlocked(int port);
-  /// The pre-barrier delivery path (stats, fault hook, Process/EOS).
-  void DeliverLocked(const Tuple& tuple, int port);
   /// Barrier-aware routing. Returns true when the delivery was consumed
   /// (barrier handled or arrival buffered behind one). Kept out of line so
-  /// the epoch machinery never bloats ReceiveLocked out of the inliner's
-  /// budget on the per-tuple delivery path of un-armed runs.
+  /// the epoch machinery never bloats Receive out of the inliner's budget
+  /// on the per-tuple delivery path of un-armed runs.
   __attribute__((noinline)) bool HandleEpochDelivery(const Tuple& tuple,
                                                      int port);
+  /// The one fan-out loop behind every Emit*: counts `emitted` output
+  /// elements (0 for punctuations), then delivers `payload` along output
+  /// edges [first, end), a copy to every edge but the last and the payload
+  /// itself to the last, declaring this operator the delivery sender
+  /// before each edge.
+  template <typename Payload>
+  void FanOut(size_t first, size_t end, size_t emitted, Payload&& payload);
   void InitEpochState(uint64_t aligned_epoch);
   EpochChannel* ChannelForCurrentSender(int port);
   /// Aligns as many epochs as the blocked/closed channel pattern allows,
@@ -457,7 +477,7 @@ class Operator : public Node {
 
   // -- Sharding state (src/api/shard.h) ----------------------------------
   // stamp_emit_seq_/current_input_seq_ implement split-point sequence
-  // propagation: DeliverLocked records the input element's stamp, the
+  // propagation: ProcessElements records the input element's stamp, the
   // Emit family copies it onto every output element. Only the operator's
   // executing thread touches current_input_seq_.
   bool stamp_emit_seq_ = false;

@@ -1,5 +1,8 @@
 #include "operators/source.h"
 
+#include <type_traits>
+#include <utility>
+
 #include "tuple/batch_pool.h"
 #include "util/logging.h"
 
@@ -34,43 +37,57 @@ const char* FlushReasonToString(FlushReason reason) {
 Source::Source(std::string name)
     : Operator(Kind::kSource, std::move(name), /*input_arity=*/0) {}
 
-void Source::Push(const Tuple& tuple) {
-  if (epoch_interval_ != 0) {
-    PushEpochs(tuple);
-    return;
-  }
-  ApplyRequestedBatchSize();
-  DCHECK(tuple.is_data());
-  DCHECK(!closed_by_driver_) << DebugString() << " pushed after Close";
-  if (StatsCollectionEnabled()) {
-    stats().RecordArrival(Now());
-    stats().RecordProcessed(0.0);
-  }
-  if (emit_batch_size_ > 1) {
-    Accumulate(tuple);
-    return;
-  }
-  Emit(tuple);
-}
+void Source::Push(const Tuple& tuple) { PushOne(tuple); }
 
-void Source::Push(Tuple&& tuple) {
-  if (epoch_interval_ != 0) {
-    // The epoch path copies into the replay buffer anyway; no move win.
-    PushEpochs(tuple);
-    return;
+void Source::Push(Tuple&& tuple) { PushOne(std::move(tuple)); }
+
+template <typename T>
+void Source::PushOne(T&& tuple) {
+  // Armed for epochs, the gate stalls live pushes while recovery
+  // rewinds/replays; replayed pushes come from the thread already holding
+  // it exclusively.
+  const bool armed = epoch_interval_ != 0;
+  const bool replaying = armed && this->replaying();
+  std::shared_lock<std::shared_mutex> gate_lock;
+  if (armed && gate_ != nullptr && !replaying) {
+    gate_lock = std::shared_lock<std::shared_mutex>(*gate_);
   }
+  // Under the gate: a resize applied mid-recovery would flush into the
+  // graph being restored.
   ApplyRequestedBatchSize();
   DCHECK(tuple.is_data());
   DCHECK(!closed_by_driver_) << DebugString() << " pushed after Close";
+  if (armed && !replaying) {
+    if (resume_skip_ > 0) {
+      // Cold-restart prefix: already reflected in the restored state.
+      --resume_skip_;
+      return;
+    }
+    // Record before emitting: if a failure poisons the graph mid-emit,
+    // the element is already in the replay buffer.
+    if (observer_ != nullptr) observer_->OnPush(tuple, next_epoch_);
+  }
   if (StatsCollectionEnabled()) {
     stats().RecordArrival(Now());
     stats().RecordProcessed(0.0);
   }
   if (emit_batch_size_ > 1) {
-    Accumulate(std::move(tuple));
-    return;
+    Accumulate(std::forward<T>(tuple));
+  } else if constexpr (std::is_lvalue_reference_v<T>) {
+    Emit(tuple);
+  } else {
+    EmitMove(std::move(tuple));
   }
-  EmitMove(std::move(tuple));
+  if (armed && ++pushed_in_epoch_ >= epoch_interval_) {
+    // Barriers regenerate deterministically on replay: the counters rewind
+    // to the committed boundary, so replayed elements re-cross the same
+    // epoch boundaries at the same positions. Any accumulating batch is
+    // flushed first — a batch never straddles a barrier.
+    FlushPendingBatch(FlushReason::kBarrier);
+    EmitBarrier(Tuple::EpochBarrier(next_epoch_));
+    ++next_epoch_;
+    pushed_in_epoch_ = 0;
+  }
 }
 
 template <typename T>
@@ -164,76 +181,11 @@ SchemaPtr Source::InferOutputSchema(const std::vector<SchemaPtr>&) const {
   return declared_schema_;
 }
 
-void Source::PushColumnar(ColumnarBatchPtr batch) {
-  if (batch == nullptr || batch->empty()) {
-    columnar::ReleaseBatch(std::move(batch));
-    return;
-  }
-  if (epoch_interval_ != 0) {
-    // The epoch/replay machinery (observer records, barrier counting,
-    // resume skip) is per-element: unbundle onto the exact Push path.
-    TupleBatch rows = columnar::MaterializeAndRelease(std::move(batch));
-    for (Tuple& tuple : rows) Push(std::move(tuple));
-    return;
-  }
-  ApplyRequestedBatchSize();
-  DCHECK(!closed_by_driver_) << DebugString() << " pushed after Close";
-  if (StatsCollectionEnabled()) {
-    stats().RecordArrival(Now(), static_cast<int64_t>(batch->size()));
-    stats().RecordProcessed(0.0, static_cast<int64_t>(batch->size()));
-  }
-  // Anything accumulated earlier goes first.
-  FlushPendingBatch(FlushReason::kOther);
-  EmitColumnar(std::move(batch));
-}
-
 bool Source::replaying() const { return replaying_source == this; }
 
 void Source::BeginReplay() { replaying_source = this; }
 
 void Source::EndReplay() { replaying_source = nullptr; }
-
-void Source::PushEpochs(const Tuple& tuple) {
-  // The gate stalls live pushes while recovery rewinds/replays; replayed
-  // pushes come from the thread already holding it exclusively.
-  const bool replaying = this->replaying();
-  std::shared_lock<std::shared_mutex> gate_lock;
-  if (gate_ != nullptr && !replaying) {
-    gate_lock = std::shared_lock<std::shared_mutex>(*gate_);
-  }
-  // Under the gate: a resize applied mid-recovery would flush into the
-  // graph being restored.
-  ApplyRequestedBatchSize();
-  DCHECK(tuple.is_data());
-  DCHECK(!closed_by_driver_) << DebugString() << " pushed after Close";
-  if (resume_skip_ > 0 && !replaying) {
-    // Cold-restart prefix: already reflected in the restored state.
-    --resume_skip_;
-    return;
-  }
-  // Record before emitting: if a failure poisons the graph mid-emit, the
-  // element is already in the replay buffer.
-  if (observer_ != nullptr && !replaying) observer_->OnPush(tuple, next_epoch_);
-  if (StatsCollectionEnabled()) {
-    stats().RecordArrival(Now());
-    stats().RecordProcessed(0.0);
-  }
-  if (emit_batch_size_ > 1) {
-    Accumulate(tuple);
-  } else {
-    Emit(tuple);
-  }
-  if (++pushed_in_epoch_ >= epoch_interval_) {
-    // Barriers regenerate deterministically on replay: the counters rewind
-    // to the committed boundary, so replayed elements re-cross the same
-    // epoch boundaries at the same positions. Any accumulating batch is
-    // flushed first — a batch never straddles a barrier.
-    FlushPendingBatch(FlushReason::kBarrier);
-    EmitBarrier(Tuple::EpochBarrier(next_epoch_));
-    ++next_epoch_;
-    pushed_in_epoch_ = 0;
-  }
-}
 
 void Source::Close(AppTime timestamp) {
   const bool replaying = this->replaying();

@@ -34,8 +34,7 @@ enum class FlushReason {
   kBarrier,      // ahead of an epoch barrier
   kClose,        // ahead of the end-of-stream punctuation
   kSchemaDrift,  // columnar: an element stopped matching the batch schema
-  kOther,        // batch size / representation change, or ahead of a
-                 // PushColumnar batch
+  kOther,        // batch size or representation change
 };
 inline constexpr int kFlushReasonCount = 6;
 const char* FlushReasonToString(FlushReason reason);
@@ -134,14 +133,6 @@ class Source : public Operator {
   SchemaPtr InferOutputSchema(
       const std::vector<SchemaPtr>& inputs) const override;
 
-  /// Columnar quickstart: delivers a pre-built typed batch downstream
-  /// whole, skipping per-tuple Tuple construction entirely (benches and
-  /// columnar-native feeds). Any accumulated elements are flushed first so
-  /// order is preserved. When the epoch/replay machinery is armed the
-  /// batch is unbundled onto the per-element Push path (the observer must
-  /// see every element), so recovery semantics are untouched.
-  void PushColumnar(ColumnarBatchPtr batch);
-
   bool closed_by_driver() const { return closed_by_driver_; }
 
   /// Arms epoch injection: a barrier after every `interval` pushes,
@@ -189,7 +180,11 @@ class Source : public Operator {
   void Process(const Tuple& tuple, int port) override;
 
  private:
-  void PushEpochs(const Tuple& tuple);
+  /// The one push body behind both Push overloads: recovery gate, resume
+  /// skip and replay record when armed for epochs, stats, then accumulate
+  /// or emit, then the epoch barrier when the epoch is full.
+  template <typename T>
+  void PushOne(T&& tuple);
   /// True while this thread replays into this source (BeginReplay).
   bool replaying() const;
   /// Adds one element to the pending batch (row-wise or columnar).

@@ -187,33 +187,16 @@ Result<uint64_t> RecoveryManager::RestoreFromDisk() {
     }
   }
   // All records validated — now mutate the graph: wipe, rewind, install.
-  for (Node* node : graph_->nodes()) {
-    node->Reset();
-    if (node->is_source()) {
-      auto* source = dynamic_cast<Source*>(node);
-      if (source != nullptr) {
-        source->RewindTo(epoch);
-        source->SetResumeSkip(cursors_by_name[source->name()]->elements);
-      }
-    }
-  }
+  coordinator_.SetRestoredState(epoch, std::move(snapshots));
+  ResetToCommittedEpoch();
   // The replay buffers never see the resume-skipped prefix, so seed their
   // recorded counts with the restored cursors — cursors persisted by this
   // incarnation stay stream-absolute and a later cold restart skips the
   // right amount.
   for (size_t i = 0; i < sources_.size(); ++i) {
-    buffers_[i]->SetRecordedBase(
-        cursors_by_name[sources_[i]->name()]->elements);
-  }
-  for (const auto& [op, snapshot] : snapshots) {
-    auto* stateful = dynamic_cast<StatefulOperator*>(op);
-    stateful->RestoreState(snapshot);
-  }
-  coordinator_.SetRestoredState(epoch, std::move(snapshots));
-  for (Node* node : graph_->nodes()) {
-    if (node->is_source() || node->is_queue()) continue;
-    auto* op = dynamic_cast<Operator*>(node);
-    if (op != nullptr) op->SetRecoveredEpoch(epoch);
+    const uint64_t cursor = cursors_by_name[sources_[i]->name()]->elements;
+    sources_[i]->SetResumeSkip(cursor);
+    buffers_[i]->SetRecordedBase(cursor);
   }
   // If we fell back past a corrupt newer epoch, drop it from the store so
   // the resumed run can re-commit (and re-persist) those epochs.
@@ -277,6 +260,13 @@ void RecoveryManager::ResumeSources() {
 void RecoveryManager::RestoreCommittedState() {
   CHECK(graph_ != nullptr);
   CHECK(pause_lock_ != nullptr) << "restore requires quiesced sources";
+  // The rewound run re-aligns and re-closes everything past the committed
+  // epoch; the coordinator's pre-restore pending state is stale.
+  coordinator_.OnRestore();
+  ResetToCommittedEpoch();
+}
+
+void RecoveryManager::ResetToCommittedEpoch() {
   const uint64_t epoch = coordinator_.committed_epoch();
   // 1. Wipe every node back to pristine (windows, hash tables, EOS
   //    counters, queue contents, alignment state). Sources rewind their
@@ -289,7 +279,6 @@ void RecoveryManager::RestoreCommittedState() {
       if (source != nullptr) source->RewindTo(epoch);
     }
   }
-  coordinator_.OnRestore();
   // 2. Re-install the committed snapshots; everything stateful without a
   //    committed entry (closed before the epoch, or registered later)
   //    stays empty.

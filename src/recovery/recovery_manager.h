@@ -60,10 +60,10 @@ class RecoveryManager {
   /// Installs epoch injection, replay buffers, and alignment callbacks on
   /// `graph` (must already contain its placed queues). Call while
   /// quiescent (engine Configure). With a durable_dir configured, also
-  /// opens the snapshot store and validates that every stateful operator
-  /// supports durable state and that operator/source names are unique
-  /// (records are matched by name on restore) — failing with a Status
-  /// naming the offender rather than arming a partially-persistable graph.
+  /// opens the snapshot store and validates that operator/source names are
+  /// unique (records are matched by name on restore) — failing with a
+  /// Status naming the duplicate rather than arming a graph whose records
+  /// could not be told apart.
   Status Arm(QueryGraph* graph);
 
   /// Removes everything Arm installed (engine Deconfigure).
@@ -139,6 +139,11 @@ class RecoveryManager {
   /// Encodes + writes committed epoch `epoch` to the durable store.
   /// Failures are logged and counted, never fatal to the run.
   void PersistEpoch(uint64_t epoch);
+  /// The restore sequence shared by live recovery and cold restart: resets
+  /// every node, rewinds the sources to the coordinator's committed epoch,
+  /// re-installs its committed snapshots and fast-forwards every
+  /// operator's alignment baseline to that epoch. Graph quiescent.
+  void ResetToCommittedEpoch();
 
   const Options options_;
   QueryGraph* graph_ = nullptr;

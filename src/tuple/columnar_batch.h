@@ -102,39 +102,6 @@ class ColumnarBatch {
     return true;
   }
 
-  /// Grows every column (and the timestamp vector) to `n` rows, appending
-  /// zero / empty-string entries. Builder API for columnar-native sources:
-  /// size the batch once, then fill MutableInts / SetString in place.
-  void ResizeRows(size_t n) {
-    for (size_t i = 0; i < cols_.size(); ++i) {
-      switch (schema_->type(i)) {
-        case Value::Type::kInt64:
-          cols_[i].i64.resize(n, 0);
-          break;
-        case Value::Type::kDouble:
-          cols_[i].f64.resize(n, 0.0);
-          break;
-        case Value::Type::kString:
-          cols_[i].str_off.resize(n, 0);
-          cols_[i].str_len.resize(n, 0);
-          break;
-      }
-    }
-    ts_.resize(n, 0);
-    if (!seqs_.empty()) seqs_.resize(n, 0);
-    rows_ = n;
-  }
-
-  /// Points string cell (col, row) at a fresh arena copy of `s`.
-  void SetString(size_t col, size_t row, std::string_view s) {
-    DCHECK(schema_->type(col) == Value::Type::kString);
-    DCHECK(row < rows_);
-    Column& c = cols_[col];
-    c.str_off[row] = static_cast<uint32_t>(arena_.size());
-    c.str_len[row] = static_cast<uint32_t>(s.size());
-    arena_.insert(arena_.end(), s.begin(), s.end());
-  }
-
   // ---------------------------------------------------------------------
   // Typed access
 
@@ -150,10 +117,6 @@ class ColumnarBatch {
     DCHECK(schema_->type(col) == Value::Type::kDouble);
     return cols_[col].f64.data();
   }
-  double* MutableDoubles(size_t col) {
-    DCHECK(schema_->type(col) == Value::Type::kDouble);
-    return cols_[col].f64.data();
-  }
   std::string_view StringAt(size_t col, size_t row) const {
     DCHECK(schema_->type(col) == Value::Type::kString);
     const Column& c = cols_[col];
@@ -161,7 +124,6 @@ class ColumnarBatch {
   }
 
   const AppTime* Timestamps() const { return ts_.data(); }
-  AppTime* MutableTimestamps() { return ts_.data(); }
 
   /// Router seq stamps are kept only when some appended tuple carried one
   /// (seq 0 means "never stamped" — see Tuple::seq()).

@@ -192,8 +192,6 @@ class SpscRing {
     return head - tail;
   }
 
-  bool EmptyApprox() const { return SizeApprox() == 0; }
-
   size_t capacity() const { return mask_ + 1; }
 
  private:

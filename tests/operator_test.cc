@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <thread>
 
 #include "graph/query_graph.h"
@@ -126,25 +128,66 @@ TEST(OperatorTest, StatsCountProcessedAndEmitted) {
   EXPECT_NEAR(sel->Selectivity(), 0.5, 1e-9);
 }
 
-TEST(OperatorTest, SelfTimeExcludesDownstreamCost) {
-  // Upstream cheap selection followed by an expensive one: with DI the
-  // cheap operator's Process includes the downstream call, but measured
-  // c(v) must be per-operator (Section 5.1.2).
+enum class Delivery { kPerTuple, kRowBatch8, kColumnar8 };
+
+struct SelfTimeCase {
+  const char* name;
+  bool blocking;  // simulated blocking (waiting) instead of a burn
+  Delivery delivery;
+};
+
+void PrintTo(const SelfTimeCase& c, std::ostream* os) { *os << c.name; }
+
+class OperatorTest : public ::testing::TestWithParam<SelfTimeCase> {};
+
+TEST_P(OperatorTest, SelfTimeExcludesDownstreamCost) {
+  // Source -> pass-through A -> expensive B under DI: A's Receive includes
+  // B's, but measured c(v) must be per-operator (Section 5.1.2) on every
+  // delivery path. B's expense is a burn (computing: B's own c(v)) or a
+  // simulated block (waiting: in neither B's c(v) nor A's).
+  const SelfTimeCase& param = GetParam();
+  constexpr double kExpenseMicros = 2000.0;
   QueryGraph g;
   Source* src = g.Add<Source>("s");
-  Selection* cheap =
-      g.Add<Selection>("cheap", [](const Tuple&) { return true; });
-  Selection* expensive = g.Add<Selection>(
-      "expensive", [](const Tuple&) { return true; }, /*cost=*/2000.0);
-  CollectingSink* sink = g.Add<CollectingSink>("out");
+  UnionOp* cheap = g.Add<UnionOp>("cheap");
+  UnionOp* expensive = g.Add<UnionOp>("expensive");
+  CountingSink* sink = g.Add<CountingSink>("out");
   ASSERT_TRUE(g.Connect(src, cheap).ok());
   ASSERT_TRUE(g.Connect(cheap, expensive).ok());
   ASSERT_TRUE(g.Connect(expensive, sink).ok());
-  for (int i = 0; i < 20; ++i) src->Push(Tuple::OfInt(i));
-  EXPECT_GE(expensive->CostMicros(), 500.0);
-  EXPECT_LT(cheap->CostMicros(), expensive->CostMicros() / 4)
+  if (param.blocking) {
+    expensive->SetSimulatedBlockingMicros(kExpenseMicros);
+  } else {
+    expensive->SetSimulatedCostMicros(kExpenseMicros);
+  }
+  if (param.delivery != Delivery::kPerTuple) src->SetEmitBatchSize(8);
+  if (param.delivery == Delivery::kColumnar8) src->SetColumnarEmit(true);
+  for (int i = 0; i < 24; ++i) src->Push(Tuple::OfInt(i));
+  src->Close();
+  EXPECT_EQ(sink->count(), 24);
+  EXPECT_EQ(expensive->stats().processed(), 24);
+  if (param.blocking) {
+    EXPECT_LT(expensive->CostMicros(), kExpenseMicros / 4)
+        << "waiting is not computing";
+  } else {
+    EXPECT_GE(expensive->CostMicros(), kExpenseMicros / 4);
+  }
+  EXPECT_LT(cheap->CostMicros(), kExpenseMicros / 4)
       << "cheap operator must not be billed for the expensive one";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Delivery, OperatorTest,
+    ::testing::Values(
+        SelfTimeCase{"BurnPerTuple", false, Delivery::kPerTuple},
+        SelfTimeCase{"BurnRowBatch8", false, Delivery::kRowBatch8},
+        SelfTimeCase{"BurnColumnar8", false, Delivery::kColumnar8},
+        SelfTimeCase{"BlockingPerTuple", true, Delivery::kPerTuple},
+        SelfTimeCase{"BlockingRowBatch8", true, Delivery::kRowBatch8},
+        SelfTimeCase{"BlockingColumnar8", true, Delivery::kColumnar8}),
+    [](const ::testing::TestParamInfo<SelfTimeCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(OperatorTest, StatsDisabledSkipsBookkeeping) {
   StatsGuard guard(false);
