@@ -24,9 +24,15 @@
 //
 // Input tuples are materialized before the clock starts; the stopwatch
 // covers feeding through WaitUntilFinished, so it measures transfer +
-// operator work, not tuple construction. Results go to stdout and
-// BENCH_pipeline.json (override with --out <path>).
+// operator work, not tuple construction. One sample of a variant is as
+// many back-to-back runs as it takes for the timed parts to add up to
+// 250 ms, so the fast columnar variants are measured over as much wall
+// time as the slow per-tuple ones without holding millions of input
+// tuples in memory. Reported per variant: the median tuples/s over the
+// reps, with min and max. Results go to stdout and BENCH_pipeline.json
+// (override with --out <path>) with a provenance block.
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -43,6 +49,7 @@
 #include "operators/sink.h"
 #include "operators/source.h"
 #include "operators/tumbling_aggregate.h"
+#include "provenance.h"
 #include "tuple/schema.h"
 #include "tuple/tuple.h"
 #include "util/clock.h"
@@ -103,9 +110,9 @@ struct RunResult {
   size_t emit_batch_size = 0;  // 0 = per-tuple baseline (default options)
   bool columnar = false;
   size_t threads = 0;
-  int64_t tuples = 0;
-  int64_t sink_count = 0;
-  double seconds = 0.0;
+  int64_t tuples = 0;      // fed per run
+  int64_t sink_count = 0;  // per run
+  double seconds = 0.0;    // timed, summed over a sample's runs
   double tuples_per_sec = 0.0;
 };
 
@@ -150,14 +157,56 @@ RunResult RunOnce(ExecutionMode mode, bool string_payload,
   return r;
 }
 
-void WriteJson(const std::vector<RunResult>& results,
+/// One sample: back-to-back runs until their timed parts add up to
+/// `min_seconds`; the rate is every fed tuple over the summed time.
+RunResult Sample(ExecutionMode mode, bool string_payload,
+                 size_t emit_batch_size, bool columnar, int64_t total,
+                 double min_seconds) {
+  RunResult sample =
+      RunOnce(mode, string_payload, emit_batch_size, columnar, total);
+  int64_t fed = total;
+  while (sample.seconds < min_seconds) {
+    const RunResult r =
+        RunOnce(mode, string_payload, emit_batch_size, columnar, total);
+    CHECK(r.sink_count == sample.sink_count)
+        << r.scenario << ": nondeterministic sink count";
+    fed += total;
+    sample.seconds += r.seconds;
+  }
+  sample.tuples_per_sec = static_cast<double>(fed) / sample.seconds;
+  return sample;
+}
+
+/// A variant's samples: the median one (its row in the report) and the
+/// spread of their rates.
+struct Summary {
+  RunResult median;
+  double min_tuples_per_sec = 0.0;
+  double max_tuples_per_sec = 0.0;
+};
+
+Summary Summarize(std::vector<RunResult> samples) {
+  std::sort(samples.begin(), samples.end(),
+            [](const RunResult& a, const RunResult& b) {
+              return a.tuples_per_sec < b.tuples_per_sec;
+            });
+  return {samples[samples.size() / 2], samples.front().tuples_per_sec,
+          samples.back().tuples_per_sec};
+}
+
+void WriteJson(const std::vector<Summary>& results, int reps,
+               double min_seconds,
                const std::vector<std::pair<std::string, double>>& ratios,
                const std::string& path) {
   std::ofstream out(path);
   CHECK(out.good()) << "cannot write " << path;
-  out << "{\n  \"bench\": \"pipeline_throughput\",\n  \"runs\": [\n";
+  out << "{\n  \"bench\": \"pipeline_throughput\",\n"
+      << "  \"provenance\": " << bench::ProvenanceJson() << ",\n"
+      << "  \"reps\": " << reps << ",\n"
+      << "  \"min_sample_seconds\": " << min_seconds << ",\n"
+      << "  \"runs\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
-    const RunResult& r = results[i];
+    const RunResult& r = results[i].median;
     out << "    {\"scenario\": \"" << r.scenario << "\", \"mode\": \""
         << r.mode << "\", \"payload\": \"" << r.payload
         << "\", \"emit_batch_size\": " << r.emit_batch_size
@@ -165,7 +214,11 @@ void WriteJson(const std::vector<RunResult>& results,
         << ", \"threads\": " << r.threads << ", \"tuples\": " << r.tuples
         << ", \"sink_count\": " << r.sink_count
         << ", \"seconds\": " << r.seconds << ", \"tuples_per_sec\": "
-        << static_cast<int64_t>(r.tuples_per_sec) << "}"
+        << static_cast<int64_t>(r.tuples_per_sec)
+        << ", \"tuples_per_sec_min\": "
+        << static_cast<int64_t>(results[i].min_tuples_per_sec)
+        << ", \"tuples_per_sec_max\": "
+        << static_cast<int64_t>(results[i].max_tuples_per_sec) << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"ratios\": {\n";
@@ -181,7 +234,8 @@ void WriteJson(const std::vector<RunResult>& results,
 int Main(int argc, char** argv) {
   int64_t small_count = bench::SmokeScaled<int64_t>(1'000'000, 40'000);
   int64_t string_count = bench::SmokeScaled<int64_t>(300'000, 20'000);
-  int reps = bench::SmokeScaled(3, 1);
+  int reps = bench::SmokeScaled(5, 1);
+  double min_seconds = bench::SmokeScaled(0.25, 0.0);
   std::string out_path = "BENCH_pipeline.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -189,6 +243,7 @@ int Main(int argc, char** argv) {
       small_count = 40'000;
       string_count = 20'000;
       reps = 1;
+      min_seconds = 0.0;
     } else if (arg == "--count" && i + 1 < argc) {
       small_count = std::stoll(argv[++i]);
       string_count = small_count / 3;
@@ -206,10 +261,9 @@ int Main(int argc, char** argv) {
   // The bench measures the delivery path, not the stats clock.
   SetStatsCollectionEnabled(false);
 
-  // Best-of-N with the three delivery variants of one scenario interleaved
-  // rep by rep, so drifting background load on a shared box hits all
-  // variants alike.
-  std::vector<RunResult> results;
+  // The delivery variants of one scenario are interleaved rep by rep, so
+  // drifting background load on a shared box hits all variants alike.
+  std::vector<Summary> results;
   auto run_scenario = [&](ExecutionMode mode, bool string_payload,
                           int64_t total) {
     struct Variant {
@@ -218,27 +272,24 @@ int Main(int argc, char** argv) {
     };
     const std::vector<Variant> variants = {
         {0, false}, {1, false}, {64, false}, {64, true}};
-    std::vector<RunResult> best(variants.size());
+    std::vector<std::vector<RunResult>> samples(variants.size());
     for (int rep = 0; rep < reps; ++rep) {
       for (size_t v = 0; v < variants.size(); ++v) {
-        RunResult r = RunOnce(mode, string_payload, variants[v].batch,
-                              variants[v].columnar, total);
-        if (rep == 0 || r.tuples_per_sec > best[v].tuples_per_sec) {
-          if (rep > 0) {
-            CHECK(r.sink_count == best[v].sink_count)
-                << r.scenario << ": nondeterministic sink count";
-          }
-          best[v] = r;
-        }
+        samples[v].push_back(Sample(mode, string_payload, variants[v].batch,
+                                    variants[v].columnar, total,
+                                    min_seconds));
       }
     }
-    // Identical input through identical windows: every variant must agree
-    // on the aggregate count (batching never changes semantics).
-    for (size_t v = 1; v < best.size(); ++v) {
-      CHECK(best[v].sink_count == best[0].sink_count)
-          << best[v].scenario << " vs " << best[0].scenario;
+    // Identical input through identical windows: every sample of every
+    // variant must agree on the aggregate count (batching never changes
+    // semantics).
+    for (const std::vector<RunResult>& variant : samples) {
+      for (const RunResult& r : variant) {
+        CHECK(r.sink_count == samples[0][0].sink_count)
+            << r.scenario << " vs " << samples[0][0].scenario;
+      }
+      results.push_back(Summarize(variant));
     }
-    for (RunResult& r : best) results.push_back(std::move(r));
   };
 
   for (const bool string_payload : {false, true}) {
@@ -247,20 +298,25 @@ int Main(int argc, char** argv) {
     run_scenario(ExecutionMode::kOts, string_payload, total);
   }
 
-  Table t({"scenario", "payload", "batch", "col", "threads", "tuples",
-           "wall_s", "tuples_per_sec"});
-  for (const RunResult& r : results) {
+  Table t({"scenario", "payload", "batch", "col", "threads", "tuples/run",
+           "sample_s", "tuples_per_sec", "min", "max"});
+  for (const Summary& summary : results) {
+    const RunResult& r = summary.median;
     t.AddRow({r.scenario, r.payload, Table::Int(r.emit_batch_size),
               r.columnar ? "yes" : "no",
               Table::Int(r.threads), Table::Int(r.tuples),
               Table::Num(r.seconds, 3),
-              Table::Int(static_cast<int64_t>(r.tuples_per_sec))});
+              Table::Int(static_cast<int64_t>(r.tuples_per_sec)),
+              Table::Int(static_cast<int64_t>(summary.min_tuples_per_sec)),
+              Table::Int(static_cast<int64_t>(summary.max_tuples_per_sec))});
   }
   t.Print(std::cout);
 
   auto rate_of = [&](const std::string& scenario) {
-    for (const RunResult& r : results) {
-      if (r.scenario == scenario) return r.tuples_per_sec;
+    for (const Summary& summary : results) {
+      if (summary.median.scenario == scenario) {
+        return summary.median.tuples_per_sec;
+      }
     }
     CHECK(false) << "missing scenario " << scenario;
     return 0.0;
@@ -298,7 +354,7 @@ int Main(int argc, char** argv) {
     std::cout << "  " << name << ": " << Table::Num(value, 2) << "x\n";
   }
 
-  WriteJson(results, ratios, out_path);
+  WriteJson(results, reps, min_seconds, ratios, out_path);
   return 0;
 }
 

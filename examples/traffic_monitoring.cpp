@@ -52,9 +52,9 @@ int main() {
   agg_options.value_attr = 1;
   agg_options.group_attr = 0;
   agg_options.window_micros = kMicrosPerSecond;
-  agg_options.simulated_cost_micros = 60.0;  // "the aggregation is expensive"
   WindowedAggregate* avg_speed =
       qb.Aggregate(plausible, "avg_speed", agg_options);
+  avg_speed->SetSimulatedCostMicros(60.0);  // "the aggregation is expensive"
   avg_speed->SetSelectivity(1.0);
   avg_speed->SetCostMicros(60.0);
   CollectingSink* averages = qb.CollectSink(avg_speed, "averages");

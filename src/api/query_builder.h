@@ -51,7 +51,7 @@ class QueryBuilder {
                     Selection::Predicate predicate,
                     double simulated_cost_micros = 0.0);
 
-  /// Typed-column form (columnar-native; DESIGN.md §17).
+  /// Typed-column form (has a columnar kernel; DESIGN.md §17).
   Selection* Select(Node* input, std::string name, Int64ColumnPredicate pred,
                     double simulated_cost_micros = 0.0);
 
@@ -62,7 +62,7 @@ class QueryBuilder {
   MapOp* Map(Node* input, std::string name, MapOp::MapFn fn,
              double simulated_cost_micros = 0.0);
 
-  /// Typed-column form (columnar-native; DESIGN.md §17).
+  /// Typed-column form (has a columnar kernel; DESIGN.md §17).
   MapOp* Map(Node* input, std::string name, Int64ColumnMap map,
              double simulated_cost_micros = 0.0);
 

@@ -341,44 +341,12 @@ Status StreamEngine::Configure(const EngineOptions& options) {
     for (QueueOp* queue : queues_) queue->SetBatchDelivery(true);
   }
   // Columnar batch layer (DESIGN.md §17): sources scatter into typed
-  // ColumnarBatches and declared schemas are pushed through the topology
-  // in topological order so downstream operators know their column layout
-  // at configure time. Purely advisory — batches are self-describing, so
-  // a missing schema only costs the typed fast path, never correctness.
+  // ColumnarBatches. Each batch carries its own schema; every operator's
+  // door checks it on arrival.
   if (options.columnar && options.emit_batch_size > 1) {
     for (Node* node : graph_->nodes()) {
       if (Source* source = dynamic_cast<Source*>(node)) {
         source->SetColumnarEmit(true);
-      }
-    }
-    Result<std::vector<Node*>> topo = graph_->TopologicalOrder();
-    if (topo.ok()) {
-      for (Node* node : *topo) {
-        Operator* op = dynamic_cast<Operator*>(node);
-        if (op == nullptr) continue;
-        if (!node->is_source() && op->static_output_schema() == nullptr) {
-          // Collect per-port input schemas from the already-visited
-          // upstream nodes (nullptr where unknown).
-          std::vector<SchemaPtr> input_schemas;
-          for (const Node::InEdge& in : node->inputs()) {
-            SchemaPtr upstream_schema;
-            if (Operator* up = dynamic_cast<Operator*>(in.source)) {
-              upstream_schema = up->static_output_schema();
-            }
-            const size_t port = in.port < 0 ? 0 : static_cast<size_t>(in.port);
-            if (input_schemas.size() <= port) {
-              input_schemas.resize(port + 1);
-            }
-            if (input_schemas[port] == nullptr) {
-              input_schemas[port] = std::move(upstream_schema);
-            } else if (upstream_schema != nullptr &&
-                       *input_schemas[port] != *upstream_schema) {
-              // Conflicting producers on one port: no static schema.
-              input_schemas[port] = nullptr;
-            }
-          }
-          op->SetStaticOutputSchema(op->InferOutputSchema(input_schemas));
-        }
       }
     }
   }
@@ -703,12 +671,18 @@ Status StreamEngine::SwitchTo(const EngineOptions& options) {
   const bool was_started = started_;
   Stop();
 
-  const bool same_structure =
-      (options_.mode == ExecutionMode::kGts ||
-       options_.mode == ExecutionMode::kOts) &&
-      (options.mode == ExecutionMode::kGts ||
-       options.mode == ExecutionMode::kOts);
-  if (same_structure) {
+  // The in-place switch rebuilds only the executors, so it may change only
+  // what BuildExecutors reads.
+  EngineOptions executors_only = options_;
+  executors_only.mode = options.mode;
+  executors_only.strategy = options.strategy;
+  executors_only.ts = options.ts;
+  executors_only.partition = options.partition;
+  const auto gts_or_ots = [](ExecutionMode m) {
+    return m == ExecutionMode::kGts || m == ExecutionMode::kOts;
+  };
+  if (gts_or_ots(options_.mode) && gts_or_ots(options.mode) &&
+      executors_only == options) {
     // Queues stay in place (the paper's instant OTS <-> GTS switch,
     // Section 4.2.2); only the level-2/3 machinery is rebuilt, so sources
     // may keep pushing throughout.

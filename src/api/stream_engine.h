@@ -23,10 +23,12 @@
 // are special cases of our architecture", Section 4.2.2).
 //
 // Runtime flexibility (Section 4.2.2): SwitchTo() rebuilds the scheduling
-// configuration on the fly. Switches that keep the queue structure
-// (kGts <-> kOts <-> same-placement kHmts) are safe while sources keep
-// pushing; structural switches (different queue positions) briefly drain
-// the affected queues and require the sources to be paused, exactly the
+// configuration on the fly. A kGts <-> kOts switch that changes nothing
+// but the mode, strategy, level-3 and partition options keeps the queues
+// in place and is safe while sources keep pushing. Every other switch
+// (different queue positions, or any option the placed queues, sources or
+// recovery read) is structural: it drains and removes the queues and
+// configures anew, and requires the sources to be paused, exactly the
 // "interrupting the processing of the graph shortly" of Section 5.1.3.
 
 #ifndef FLEXSTREAM_API_STREAM_ENGINE_H_
@@ -123,15 +125,17 @@ struct EngineOptions {
   /// Columnar batch layer (DESIGN.md §17): with emit_batch_size > 1,
   /// sources scatter accumulated elements into typed ColumnarBatches
   /// (contiguous column vectors + per-batch string arena) and unbounded
-  /// batch-delivery queues transport each batch as one boxed item.
-  /// Columnar-native operators (typed Selection/Map, Projection, tumbling
-  /// aggregates, counting sinks, unions) process the typed columns
-  /// directly; everything else — and any operator with a fault hook,
-  /// armed barrier alignment, or seq stamping — transparently
-  /// materializes back to rows, so results are byte-for-byte identical to
-  /// the row-wise path. Configure also propagates declared source schemas
-  /// through schema-preserving operators (SetStaticOutputSchema).
+  /// batch-delivery queues transport each batch as one boxed item. Each
+  /// batch carries its schema; an operator whose AcceptsColumnar takes it
+  /// (typed Selection/Map, Projection, tumbling aggregates, the hash
+  /// join, counting and latency sinks, unions) processes the typed columns
+  /// directly. Everything else — and any operator with a fault hook, seq
+  /// stamping, or a blocked barrier channel — materializes back to rows
+  /// at its door, so results are byte-for-byte identical to the row-wise
+  /// path.
   bool columnar = false;
+
+  bool operator==(const EngineOptions&) const = default;
 };
 
 class StreamEngine {

@@ -55,6 +55,8 @@ class ThreadScheduler {
     /// Consecutive no-progress samples before a partition with queued work
     /// is declared stalled.
     int watchdog_stall_intervals = 2;
+
+    bool operator==(const Options&) const = default;
   };
 
   explicit ThreadScheduler(Options options);

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "operators/router.h"
-#include "util/busy_work.h"
 #include "util/logging.h"
 
 namespace flexstream {
@@ -84,9 +83,6 @@ double WindowedAggregate::Current(const AggregateGroup& g) const {
 
 void WindowedAggregate::Process(const Tuple& tuple, int port) {
   (void)port;
-  if (options_.simulated_cost_micros > 0.0) {
-    BurnMicros(options_.simulated_cost_micros);
-  }
   const AppTime watermark = window_.WatermarkFor(tuple.timestamp());
   window_.ExpireBefore(watermark, [&](const Tuple& expired) {
     const Value key = GroupKeyOf(expired);

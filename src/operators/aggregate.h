@@ -61,7 +61,6 @@ class WindowedAggregate
     /// Group-by attribute; nullopt = single global group.
     std::optional<size_t> group_attr;
     AppTime window_micros = kMicrosPerMinute;
-    double simulated_cost_micros = 0.0;
   };
 
   WindowedAggregate(std::string name, Options options);

@@ -12,22 +12,18 @@ LatencySink::LatencySink(std::string name, size_t offset_attr,
     : Sink(std::move(name)),
       offset_attr_(offset_attr),
       epoch_(epoch),
-      phase_attr_(phase_attr) {
-  MarkColumnarNative();
+      phase_attr_(phase_attr) {}
+
+bool LatencySink::AcceptsColumnar(const Schema& schema, int) const {
+  const auto int64_at = [&](size_t attr) {
+    return attr < schema.arity() && schema.type(attr) == Value::Type::kInt64;
+  };
+  return int64_at(offset_attr_) &&
+         (!phase_attr_.has_value() || int64_at(*phase_attr_));
 }
 
 void LatencySink::ProcessColumnar(ColumnarBatchPtr batch, int port) {
-  const Schema& schema = batch->schema();
-  const bool offset_ok = offset_attr_ < schema.arity() &&
-                         schema.type(offset_attr_) == Value::Type::kInt64;
-  const bool phase_ok =
-      !phase_attr_.has_value() ||
-      (*phase_attr_ < schema.arity() &&
-       schema.type(*phase_attr_) == Value::Type::kInt64);
-  if (!offset_ok || !phase_ok) {
-    ProcessBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
-    return;
-  }
+  (void)port;
   const size_t n = batch->size();
   const int64_t* offsets = batch->Ints(offset_attr_);
   const int64_t* phases =
@@ -83,7 +79,7 @@ void LatencySink::Reset() {
   phase_histograms_.clear();
 }
 
-void LatencySink::Consume(const Tuple& tuple, int port) {
+void LatencySink::Process(const Tuple& tuple, int port) {
   (void)port;
   const int64_t now_offset = ToMicros(Now() - epoch_);
   const double latency_micros =
@@ -95,7 +91,7 @@ void LatencySink::Consume(const Tuple& tuple, int port) {
   }
 }
 
-void LatencySink::ConsumeBatch(TupleBatch&& batch, int port) {
+void LatencySink::ProcessBatch(TupleBatch&& batch, int port) {
   (void)port;
   const int64_t now_offset = ToMicros(Now() - epoch_);
   std::lock_guard<std::mutex> lock(mutex_);

@@ -62,15 +62,16 @@ class LatencySink
   void Reset() override;
 
  protected:
-  void Consume(const Tuple& tuple, int port) override;
+  void Process(const Tuple& tuple, int port) override;
   /// Batch-safe path: one clock read and one lock acquisition per batch.
   /// All elements of the batch share the arrival timestamp — they became
   /// visible to the sink at the same drain instant, so per-element clock
   /// reads would only add noise (and cost) to the measurement.
-  void ConsumeBatch(TupleBatch&& batch, int port) override;
+  void ProcessBatch(TupleBatch&& batch, int port) override;
+  /// Takes batches carrying kInt64 at the offset (and phase) attributes.
+  bool AcceptsColumnar(const Schema& schema, int port) const override;
   /// Columnar kernel: reads the offset (and phase) columns directly —
-  /// one clock read, one lock, no row materialization. Falls back to rows
-  /// when the schema lacks kInt64 at the configured attributes.
+  /// one clock read, one lock, no row materialization.
   void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 
  private:

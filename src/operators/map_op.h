@@ -28,27 +28,19 @@ class MapOp : public Operator {
 
   MapOp(std::string name, MapFn fn, double simulated_cost_micros = 0.0);
 
-  /// Typed form: columnar-native. Batches carrying kInt64 at `map.attr`
-  /// are transformed column-at-a-time; everything else goes through the
-  /// synthesized row function.
+  /// Typed form: batches carrying kInt64 at `map.attr` are transformed
+  /// column-at-a-time; everything else goes through the synthesized row
+  /// function.
   MapOp(std::string name, Int64ColumnMap map,
         double simulated_cost_micros = 0.0);
-
-  /// The typed form rewrites one attribute in place, so the row layout is
-  /// unchanged; the generic form's output shape is opaque.
-  SchemaPtr InferOutputSchema(
-      const std::vector<SchemaPtr>& inputs) const override {
-    if (typed_map_.fn == nullptr || inputs.empty()) return nullptr;
-    return inputs[0];
-  }
 
   std::unique_ptr<Operator> CloneFresh(std::string name) const override {
     if (typed_map_.fn != nullptr) {
       return std::make_unique<MapOp>(std::move(name), typed_map_,
-                                     simulated_cost_micros_);
+                                     simulated_cost_micros());
     }
     return std::make_unique<MapOp>(std::move(name), fn_,
-                                   simulated_cost_micros_);
+                                   simulated_cost_micros());
   }
 
  protected:
@@ -56,14 +48,14 @@ class MapOp : public Operator {
   /// Batch-native path: replaces each tuple with fn_(tuple) in place and
   /// forwards the batch whole.
   void ProcessBatch(TupleBatch&& batch, int port) override;
-  /// Columnar kernel: rewrites the typed column in place. Falls back to
-  /// rows when the schema does not carry kInt64 at the map's attr.
+  /// The typed form takes batches carrying kInt64 at the map's attr.
+  bool AcceptsColumnar(const Schema& schema, int port) const override;
+  /// Columnar kernel: rewrites the typed column in place.
   void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 
  private:
   MapFn fn_;
   Int64ColumnMap typed_map_;  // fn == nullptr ⇒ row-form only
-  double simulated_cost_micros_;
 };
 
 }  // namespace flexstream

@@ -306,14 +306,15 @@ void Operator::ReceiveColumnarLocked(ColumnarBatchPtr batch, int port) {
     columnar::ReleaseBatch(std::move(batch));
     return;
   }
-  if (!columnar_native_ || fault_hook_ != nullptr || stamp_emit_seq_ ||
+  if (fault_hook_ != nullptr || stamp_emit_seq_ ||
+      !AcceptsColumnar(batch->schema(), port) ||
       (epoch_state_ != nullptr && SenderChannelBlocked(port))) {
-    // The fallback contract (DESIGN.md §17): no kernel, per-element
-    // machinery (fault hooks, seq stamping) is engaged, or the sender's
-    // barrier channel is blocked — materialize to rows and take the row
-    // batch path, which votes per element or buffers the rows in the
-    // channel's backlog. An armed epoch with the channel open keeps the
-    // columnar kernel: the batch is wholly pre-barrier input.
+    // The one columnar door (DESIGN.md §17): per-element machinery (fault
+    // hooks, seq stamping) is engaged, no kernel takes this schema, or the
+    // sender's barrier channel is blocked — materialize to rows and take
+    // the row batch path, which votes per element or buffers the rows in
+    // the channel's backlog. An armed epoch with the channel open keeps
+    // the columnar kernel: the batch is wholly pre-barrier input.
     ReceiveBatchLocked(columnar::MaterializeAndRelease(std::move(batch)),
                        port);
     return;
@@ -326,12 +327,11 @@ void Operator::ReceiveColumnarLocked(ColumnarBatchPtr batch, int port) {
   if (!ran) columnar::ReleaseBatch(std::move(batch));
 }
 
-void Operator::ProcessColumnar(ColumnarBatchPtr batch, int port) {
-  ProcessBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
-}
+bool Operator::AcceptsColumnar(const Schema&, int) const { return false; }
 
-SchemaPtr Operator::InferOutputSchema(const std::vector<SchemaPtr>&) const {
-  return nullptr;
+void Operator::ProcessColumnar(ColumnarBatchPtr, int) {
+  LOG(FATAL) << DebugString() << " accepts columnar batches but has no "
+             << "ProcessColumnar kernel";
 }
 
 bool Operator::HandleEpochDelivery(const Tuple& tuple, int port) {

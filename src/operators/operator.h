@@ -64,6 +64,8 @@ struct RetryBackoffOptions {
   /// (0 = fully synchronized legacy behavior, 1 = anywhere down to 0).
   double jitter = 0.5;
   uint64_t seed = 0;
+
+  bool operator==(const RetryBackoffOptions&) const = default;
 };
 
 class Operator : public Node {
@@ -124,37 +126,14 @@ class Operator : public Node {
   virtual void ReceiveBatch(TupleBatch&& batch, int port);
 
   /// Columnar delivery (DESIGN.md §17): semantically identical to calling
-  /// ReceiveBatch on the materialized rows — and that is literally what the
-  /// base implementation does whenever the operator has no columnar kernel
-  /// (MarkColumnarNative not set), a fault hook or seq stamping is engaged,
-  /// or the sender's barrier channel is blocked: the batch materializes to
-  /// a TupleBatch, recycles its column storage, and takes the row batch
-  /// path. Columnar-native operators otherwise get the whole typed batch
-  /// via ProcessColumnar — an armed epoch with the channel open included —
-  /// through the same delivery gate as a row batch.
+  /// ReceiveBatch on the materialized rows. The door is this one place:
+  /// unless the operator accepts the batch's schema (AcceptsColumnar) and
+  /// no fault hook, seq stamping or blocked barrier channel needs the rows,
+  /// the batch materializes to a TupleBatch, recycles its column storage,
+  /// and takes the row batch path. Otherwise ProcessColumnar gets the whole
+  /// typed batch — an armed epoch with the channel open included — through
+  /// the same delivery gate as a row batch.
   virtual void ReceiveColumnar(ColumnarBatchPtr batch, int port);
-
-  /// True when this operator has a columnar kernel (see MarkColumnarNative).
-  bool columnar_native() const { return columnar_native_; }
-
-  /// Graph-build-time schema propagation: given one schema per input edge
-  /// (null where unknown), returns this operator's output schema, or null
-  /// when unknown or type-changing. Schema-preserving operators (Selection,
-  /// queues, Union over identical inputs) override this; the engine's
-  /// Configure pass walks the topology with it and records the result via
-  /// SetStaticOutputSchema.
-  virtual SchemaPtr InferOutputSchema(
-      const std::vector<SchemaPtr>& inputs) const;
-
-  /// The statically propagated output schema (null when unknown). Purely
-  /// declarative: kernels still verify each batch's own schema at delivery
-  /// time, so a wrong declaration can cost speed, never correctness.
-  void SetStaticOutputSchema(SchemaPtr schema) {
-    static_output_schema_ = std::move(schema);
-  }
-  const SchemaPtr& static_output_schema() const {
-    return static_output_schema_;
-  }
 
   /// True once OnAllInputsClosed has run (all inputs delivered EOS).
   bool closed() const { return closed_; }
@@ -311,16 +290,15 @@ class Operator : public Node {
   /// batches simply dissolve at the first operator that hasn't opted in.
   virtual void ProcessBatch(TupleBatch&& batch, int port);
 
-  /// Handles one columnar batch — only ever invoked on columnar-native
-  /// operators, with the delivery gate already applied. Kernels verify
-  /// the batch's schema fits their configuration and otherwise materialize
-  /// and delegate to ProcessBatch (the default does exactly that).
-  virtual void ProcessColumnar(ColumnarBatchPtr batch, int port);
+  /// True when ProcessColumnar takes a batch of `schema` arriving on
+  /// `port` whole (the columnar door of ReceiveColumnar). Kernels check
+  /// here that the schema carries the typed columns they read. The
+  /// default — no kernel — is false.
+  virtual bool AcceptsColumnar(const Schema& schema, int port) const;
 
-  /// Declares that this operator implements ProcessColumnar. Kernels call
-  /// this from their constructor when their configuration is columnar-
-  /// capable; without it, ReceiveColumnar materializes at the door.
-  void MarkColumnarNative(bool native = true) { columnar_native_ = native; }
+  /// Handles one columnar batch the door let through (AcceptsColumnar was
+  /// true for its schema), with the delivery gate already applied.
+  virtual void ProcessColumnar(ColumnarBatchPtr batch, int port);
 
   /// Called once when all input edges have closed. The default emits an EOS
   /// punctuation downstream; stateful operators flush first, sinks signal
@@ -468,8 +446,6 @@ class Operator : public Node {
 
   size_t eos_received_ = 0;
   bool closed_ = false;
-  bool columnar_native_ = false;
-  SchemaPtr static_output_schema_;
   AppTime max_eos_timestamp_ = 0;
   double simulated_cost_micros_ = 0.0;
   double simulated_blocking_micros_ = 0.0;

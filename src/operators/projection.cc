@@ -2,39 +2,21 @@
 
 #include <algorithm>
 
-#include "tuple/batch_pool.h"
-#include "util/busy_work.h"
-
 namespace flexstream {
 
 Projection::Projection(std::string name, std::vector<size_t> attrs,
                        double simulated_cost_micros)
     : Operator(Kind::kOperator, std::move(name), /*input_arity=*/1),
-      attrs_(std::move(attrs)),
-      simulated_cost_micros_(simulated_cost_micros) {
+      attrs_(std::move(attrs)) {
+  SetSimulatedCostMicros(simulated_cost_micros);
   std::vector<size_t> sorted = attrs_;
   std::sort(sorted.begin(), sorted.end());
   attrs_unique_ =
       std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
-  MarkColumnarNative();
-}
-
-SchemaPtr Projection::InferOutputSchema(
-    const std::vector<SchemaPtr>& inputs) const {
-  if (inputs.empty() || inputs[0] == nullptr) return nullptr;
-  if (attrs_.empty()) return inputs[0];
-  std::vector<Value::Type> types;
-  types.reserve(attrs_.size());
-  for (size_t a : attrs_) {
-    if (a >= inputs[0]->arity()) return nullptr;
-    types.push_back(inputs[0]->type(a));
-  }
-  return MakeSchema(std::move(types));
 }
 
 void Projection::Process(const Tuple& tuple, int port) {
   (void)port;
-  if (simulated_cost_micros_ > 0.0) BurnMicros(simulated_cost_micros_);
   if (attrs_.empty()) {
     Emit(tuple);
     return;
@@ -47,9 +29,6 @@ void Projection::Process(const Tuple& tuple, int port) {
 
 void Projection::ProcessBatch(TupleBatch&& batch, int port) {
   (void)port;
-  if (simulated_cost_micros_ > 0.0) {
-    BurnMicros(simulated_cost_micros_ * static_cast<double>(batch.size()));
-  }
   if (!attrs_.empty()) {
     for (Tuple& tuple : batch) {
       std::vector<Value> values;
@@ -67,23 +46,20 @@ void Projection::ProcessBatch(TupleBatch&& batch, int port) {
   EmitBatch(std::move(batch));
 }
 
+bool Projection::AcceptsColumnar(const Schema& schema, int) const {
+  // An out-of-range attr (a drifted schema) takes the row path, whose
+  // accessor checks report it.
+  return std::all_of(attrs_.begin(), attrs_.end(),
+                     [&](size_t a) { return a < schema.arity(); });
+}
+
 void Projection::ProcessColumnar(ColumnarBatchPtr batch, int port) {
-  if (simulated_cost_micros_ > 0.0) {
-    BurnMicros(simulated_cost_micros_ * static_cast<double>(batch->size()));
-  }
+  (void)port;
   if (attrs_.empty()) {
     EmitColumnar(std::move(batch));
     return;
   }
   const SchemaPtr& in = batch->schema_ptr();
-  for (size_t a : attrs_) {
-    if (a >= in->arity()) {
-      // Out-of-range attr for this (drifted) schema: the row path's
-      // accessor checks will report it.
-      ProcessBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
-      return;
-    }
-  }
   if (cached_in_ != in) {
     cached_in_ = in;
     std::vector<Value::Type> types;

@@ -1,6 +1,6 @@
 // Projection operator: keeps a subset of attributes (by index), preserving
-// order. Like Selection, can burn a configured per-element CPU cost to
-// model the paper's synthetic workloads (the 2.7 us projection of
+// order. Like Selection, its constructor can set a per-element simulated
+// cost to model the paper's synthetic workloads (the 2.7 us projection of
 // Section 6.6).
 
 #ifndef FLEXSTREAM_OPERATORS_PROJECTION_H_
@@ -24,14 +24,9 @@ class Projection : public Operator {
 
   const std::vector<size_t>& attrs() const { return attrs_; }
 
-  /// Output schema = input schema restricted to `attrs` (identity when
-  /// the list is empty).
-  SchemaPtr InferOutputSchema(
-      const std::vector<SchemaPtr>& inputs) const override;
-
   std::unique_ptr<Operator> CloneFresh(std::string name) const override {
     return std::make_unique<Projection>(std::move(name), attrs_,
-                                        simulated_cost_micros_);
+                                        simulated_cost_micros());
   }
 
  protected:
@@ -40,6 +35,8 @@ class Projection : public Operator {
   /// Values out of the owned input (copying only when `attrs` repeats an
   /// index, since a repeated index would read a moved-from Value).
   void ProcessBatch(TupleBatch&& batch, int port) override;
+  /// Takes batches whose schema has every kept attribute.
+  bool AcceptsColumnar(const Schema& schema, int port) const override;
   /// Columnar kernel: ProjectColumns rebinds the column vector (moving
   /// kept columns, sharing the arena) — no per-row work at all. Seq
   /// stamps are dropped to match the row path, which builds fresh Tuples.
@@ -48,7 +45,6 @@ class Projection : public Operator {
  private:
   std::vector<size_t> attrs_;
   bool attrs_unique_ = true;
-  double simulated_cost_micros_;
   // Projected-schema cache keyed on the input batch's SchemaPtr identity:
   // steady-state streams reuse one Schema object, so the projected schema
   // is computed once, not per batch. Serialized under the operator mutex.

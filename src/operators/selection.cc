@@ -1,7 +1,6 @@
 #include "operators/selection.h"
 
 #include "tuple/batch_pool.h"
-#include "util/busy_work.h"
 #include "util/logging.h"
 
 namespace flexstream {
@@ -9,22 +8,21 @@ namespace flexstream {
 Selection::Selection(std::string name, Predicate predicate,
                      double simulated_cost_micros)
     : Operator(Kind::kOperator, std::move(name), /*input_arity=*/1),
-      predicate_(std::move(predicate)),
-      simulated_cost_micros_(simulated_cost_micros) {
+      predicate_(std::move(predicate)) {
   CHECK(predicate_ != nullptr);
+  SetSimulatedCostMicros(simulated_cost_micros);
 }
 
 Selection::Selection(std::string name, Int64ColumnPredicate pred,
                      double simulated_cost_micros)
     : Operator(Kind::kOperator, std::move(name), /*input_arity=*/1),
-      typed_pred_(std::move(pred)),
-      simulated_cost_micros_(simulated_cost_micros) {
+      typed_pred_(std::move(pred)) {
   CHECK(typed_pred_.fn != nullptr);
+  SetSimulatedCostMicros(simulated_cost_micros);
   // Row deliveries evaluate the same function through the row accessor.
   predicate_ = [attr = typed_pred_.attr, fn = typed_pred_.fn](const Tuple& t) {
     return fn(t.IntAt(attr));
   };
-  MarkColumnarNative();
 }
 
 Selection::Predicate Selection::IntAttrLessThan(int64_t threshold,
@@ -42,31 +40,23 @@ Int64ColumnPredicate Selection::ColumnIntLessThan(int64_t threshold,
 
 void Selection::Process(const Tuple& tuple, int port) {
   (void)port;
-  if (simulated_cost_micros_ > 0.0) BurnMicros(simulated_cost_micros_);
   if (predicate_(tuple)) Emit(tuple);
 }
 
 void Selection::ProcessBatch(TupleBatch&& batch, int port) {
   (void)port;
-  if (simulated_cost_micros_ > 0.0) {
-    BurnMicros(simulated_cost_micros_ * static_cast<double>(batch.size()));
-  }
   batch.Compact(predicate_);
   EmitBatch(std::move(batch));
 }
 
+bool Selection::AcceptsColumnar(const Schema& schema, int) const {
+  return typed_pred_.fn != nullptr && typed_pred_.attr < schema.arity() &&
+         schema.type(typed_pred_.attr) == Value::Type::kInt64;
+}
+
 void Selection::ProcessColumnar(ColumnarBatchPtr batch, int port) {
-  const Schema& schema = batch->schema();
-  if (typed_pred_.fn == nullptr || typed_pred_.attr >= schema.arity() ||
-      schema.type(typed_pred_.attr) != Value::Type::kInt64) {
-    // Schema without our typed column (drifted stream): row fallback.
-    ProcessBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
-    return;
-  }
+  (void)port;
   const size_t n = batch->size();
-  if (simulated_cost_micros_ > 0.0) {
-    BurnMicros(simulated_cost_micros_ * static_cast<double>(n));
-  }
   const int64_t* vals = batch->Ints(typed_pred_.attr);
   keep_.clear();
   keep_.reserve(n);

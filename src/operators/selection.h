@@ -2,8 +2,10 @@
 //
 // The workhorse of the paper's evaluation: Sections 6.4–6.6 build queries
 // from chains of selections with precise selectivities and processing
-// costs. `simulated_cost_micros` burns calibrated CPU per element to model
-// "complex predicate evaluation" (the 2-second selection of Section 6.6).
+// costs. The constructor's `simulated_cost_micros` sets the operator's
+// simulated cost (SetSimulatedCostMicros), which the delivery gate burns
+// per element to model "complex predicate evaluation" (the 2-second
+// selection of Section 6.6).
 
 #ifndef FLEXSTREAM_OPERATORS_SELECTION_H_
 #define FLEXSTREAM_OPERATORS_SELECTION_H_
@@ -34,10 +36,10 @@ class Selection : public Operator {
   Selection(std::string name, Predicate predicate,
             double simulated_cost_micros = 0.0);
 
-  /// Typed form: columnar-native. Batches whose schema carries kInt64 at
-  /// `pred.attr` are filtered column-at-a-time; anything else (including
-  /// every row-wise delivery) goes through the synthesized row predicate,
-  /// so answers are identical either way.
+  /// Typed form: batches whose schema carries kInt64 at `pred.attr` are
+  /// filtered column-at-a-time; anything else (including every row-wise
+  /// delivery) goes through the synthesized row predicate, so answers are
+  /// identical either way.
   Selection(std::string name, Int64ColumnPredicate pred,
             double simulated_cost_micros = 0.0);
 
@@ -51,21 +53,13 @@ class Selection : public Operator {
   static Int64ColumnPredicate ColumnIntLessThan(int64_t threshold,
                                                 size_t attr = 0);
 
-  double simulated_cost_micros() const { return simulated_cost_micros_; }
-
-  /// Selections never change the row layout.
-  SchemaPtr InferOutputSchema(
-      const std::vector<SchemaPtr>& inputs) const override {
-    return inputs.empty() ? nullptr : inputs[0];
-  }
-
   std::unique_ptr<Operator> CloneFresh(std::string name) const override {
     if (typed_pred_.fn != nullptr) {
       return std::make_unique<Selection>(std::move(name), typed_pred_,
-                                         simulated_cost_micros_);
+                                         simulated_cost_micros());
     }
     return std::make_unique<Selection>(std::move(name), predicate_,
-                                       simulated_cost_micros_);
+                                       simulated_cost_micros());
   }
 
  protected:
@@ -73,15 +67,15 @@ class Selection : public Operator {
   /// Batch-native path: compacts the batch in place (order-preserving
   /// remove-if) and forwards the survivors as one batch.
   void ProcessBatch(TupleBatch&& batch, int port) override;
+  /// The typed form takes batches carrying kInt64 at the predicate's attr.
+  bool AcceptsColumnar(const Schema& schema, int port) const override;
   /// Columnar kernel: typed-column predicate scan into a selection
-  /// vector, then in-place CompactRows. Falls back to the row path when
-  /// the batch's schema does not carry kInt64 at the predicate's attr.
+  /// vector, then in-place CompactRows.
   void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 
  private:
   Predicate predicate_;
   Int64ColumnPredicate typed_pred_;  // fn == nullptr ⇒ row-form only
-  double simulated_cost_micros_;
   std::vector<uint32_t> keep_;  // selection-vector scratch (serialized
                                 // under the operator mutex)
 };

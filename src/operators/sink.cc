@@ -27,16 +27,6 @@ void Sink::Reset() {
   done_ = false;
 }
 
-void Sink::Process(const Tuple& tuple, int port) { Consume(tuple, port); }
-
-void Sink::ProcessBatch(TupleBatch&& batch, int port) {
-  ConsumeBatch(std::move(batch), port);
-}
-
-void Sink::ConsumeBatch(TupleBatch&& batch, int port) {
-  for (const Tuple& tuple : batch) Consume(tuple, port);
-}
-
 void Sink::OnAllInputsClosed(AppTime timestamp) {
   (void)timestamp;
   {
@@ -46,16 +36,10 @@ void Sink::OnAllInputsClosed(AppTime timestamp) {
   cv_.notify_all();
 }
 
-CountingSink::CountingSink(std::string name) : Sink(std::move(name)) {
-  MarkColumnarNative();
-}
+CountingSink::CountingSink(std::string name) : Sink(std::move(name)) {}
 
 void CountingSink::ProcessColumnar(ColumnarBatchPtr batch, int port) {
-  if (timeline_enabled_) {
-    // One (time, cumulative count) sample per arrival: row path.
-    ProcessBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
-    return;
-  }
+  (void)port;
   count_.fetch_add(static_cast<int64_t>(batch->size()),
                    std::memory_order_relaxed);
   columnar::ReleaseBatch(std::move(batch));
@@ -81,7 +65,7 @@ void CountingSink::Reset() {
   timeline_.clear();
 }
 
-void CountingSink::Consume(const Tuple& tuple, int port) {
+void CountingSink::Process(const Tuple& tuple, int port) {
   (void)tuple;
   (void)port;
   const int64_t n = count_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -93,11 +77,11 @@ void CountingSink::Consume(const Tuple& tuple, int port) {
   }
 }
 
-void CountingSink::ConsumeBatch(TupleBatch&& batch, int port) {
+void CountingSink::ProcessBatch(TupleBatch&& batch, int port) {
   if (timeline_enabled_) {
     // The timeline wants one (time, cumulative count) sample per arrival:
     // keep the per-tuple path.
-    Sink::ConsumeBatch(std::move(batch), port);
+    Operator::ProcessBatch(std::move(batch), port);
     return;
   }
   count_.fetch_add(static_cast<int64_t>(batch.size()),
@@ -200,13 +184,13 @@ void CollectingSink::Reset() {
   results_ = Chunks();
 }
 
-void CollectingSink::Consume(const Tuple& tuple, int port) {
+void CollectingSink::Process(const Tuple& tuple, int port) {
   (void)port;
   std::lock_guard<std::mutex> lock(results_mutex_);
   results_.Append(tuple);
 }
 
-void CollectingSink::ConsumeBatch(TupleBatch&& batch, int port) {
+void CollectingSink::ProcessBatch(TupleBatch&& batch, int port) {
   (void)port;
   std::lock_guard<std::mutex> lock(results_mutex_);
   for (Tuple& tuple : batch) results_.Append(std::move(tuple));
@@ -218,7 +202,7 @@ CallbackSink::CallbackSink(std::string name,
   CHECK(callback_ != nullptr);
 }
 
-void CallbackSink::Consume(const Tuple& tuple, int port) {
+void CallbackSink::Process(const Tuple& tuple, int port) {
   callback_(tuple, port);
 }
 

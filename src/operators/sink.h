@@ -23,8 +23,10 @@
 namespace flexstream {
 
 /// Base sink: tracks completion and lets callers wait for it. Subclasses
-/// implement Consume(). Consume runs in whichever thread executes the
-/// sink's partition; the completion signal is thread-safe.
+/// override the operator hooks (Process, and ProcessBatch to absorb a
+/// whole batch at once) like any other operator; they run in whichever
+/// thread executes the sink's partition. The completion signal is
+/// thread-safe.
 class Sink : public Operator {
  public:
   explicit Sink(std::string name);
@@ -38,16 +40,7 @@ class Sink : public Operator {
   void Reset() override;
 
  protected:
-  void Process(const Tuple& tuple, int port) override;
-  void ProcessBatch(TupleBatch&& batch, int port) override;
   void OnAllInputsClosed(AppTime timestamp) override;
-
-  virtual void Consume(const Tuple& tuple, int port) = 0;
-
-  /// Batch analogue of Consume. The default unbundles into per-tuple
-  /// Consume calls; the counting/collecting sinks override it to absorb
-  /// the whole batch under one lock/atomic update.
-  virtual void ConsumeBatch(TupleBatch&& batch, int port);
 
  private:
   std::mutex mutex_;
@@ -73,10 +66,17 @@ class CountingSink : public Sink, public StatefulOperatorOf<int64_t> {
   void Reset() override;
 
  protected:
-  void Consume(const Tuple& tuple, int port) override;
-  void ConsumeBatch(TupleBatch&& batch, int port) override;
+  void Process(const Tuple& tuple, int port) override;
+  /// One atomic add for the whole batch (the timeline mode keeps the
+  /// per-tuple path).
+  void ProcessBatch(TupleBatch&& batch, int port) override;
+  /// Every schema passes unless the timeline, which samples per arrival,
+  /// is on.
+  bool AcceptsColumnar(const Schema&, int) const override {
+    return !timeline_enabled_;
+  }
   /// Columnar kernel: one atomic add for the whole batch — no row
-  /// materialization at all (the timeline mode keeps the per-tuple path).
+  /// materialization at all.
   void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 
  private:
@@ -139,8 +139,8 @@ class CollectingSink : public Sink, public StatefulOperatorOf<ResultChunks> {
   void Reset() override;
 
  protected:
-  void Consume(const Tuple& tuple, int port) override;
-  void ConsumeBatch(TupleBatch&& batch, int port) override;
+  void Process(const Tuple& tuple, int port) override;
+  void ProcessBatch(TupleBatch&& batch, int port) override;
 
  private:
   State CaptureState() const override;
@@ -160,7 +160,7 @@ class CallbackSink : public Sink {
                std::function<void(const Tuple&, int)> callback);
 
  protected:
-  void Consume(const Tuple& tuple, int port) override;
+  void Process(const Tuple& tuple, int port) override;
 
  private:
   std::function<void(const Tuple&, int)> callback_;

@@ -174,11 +174,6 @@ void Source::SetColumnarEmit(bool enabled) {
 
 void Source::DeclareOutputSchema(SchemaPtr schema) {
   declared_schema_ = std::move(schema);
-  SetStaticOutputSchema(declared_schema_);
-}
-
-SchemaPtr Source::InferOutputSchema(const std::vector<SchemaPtr>&) const {
-  return declared_schema_;
 }
 
 bool Source::replaying() const { return replaying_source == this; }

@@ -124,14 +124,11 @@ class Source : public Operator {
         std::memory_order_relaxed);
   }
 
-  /// Declares the attribute types this source will push — the graph-build-
-  /// time anchor of schema propagation (StreamEngine::Configure walks it
-  /// through the topology). Purely declarative: batches still verify
-  /// element-by-element, so a wrong declaration costs batch granularity,
-  /// never correctness.
+  /// Declares the attribute types this source will push: the schema its
+  /// columnar batches are scattered into (SetColumnarEmit). Batches carry
+  /// their schema downstream, and elements are still checked one by one,
+  /// so a wrong declaration costs batch granularity, never correctness.
   void DeclareOutputSchema(SchemaPtr schema);
-  SchemaPtr InferOutputSchema(
-      const std::vector<SchemaPtr>& inputs) const override;
 
   bool closed_by_driver() const { return closed_by_driver_; }
 

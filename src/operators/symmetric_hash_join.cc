@@ -15,9 +15,7 @@ SymmetricHashJoin::SymmetricHashJoin(std::string name, AppTime window_micros,
                                      size_t right_key_attr)
     : Operator(Kind::kOperator, std::move(name), /*input_arity=*/2),
       window_micros_(window_micros),
-      sides_{KeyedWindow(left_key_attr), KeyedWindow(right_key_attr)} {
-  MarkColumnarNative();
-}
+      sides_{KeyedWindow(left_key_attr), KeyedWindow(right_key_attr)} {}
 
 void SymmetricHashJoin::Reset() {
   Operator::Reset();
@@ -53,16 +51,17 @@ void SymmetricHashJoin::Process(const Tuple& tuple, int port) {
   own.Insert(tuple);
 }
 
+bool SymmetricHashJoin::AcceptsColumnar(const Schema& schema,
+                                        int port) const {
+  return sides_[port].key_attr() < schema.arity();
+}
+
 void SymmetricHashJoin::ProcessColumnar(ColumnarBatchPtr batch, int port) {
   DCHECK(port == kLeftPort || port == kRightPort);
   KeyedWindow& own = sides_[port];
   KeyedWindow& other = sides_[1 - port];
   const Schema& schema = batch->schema();
   const size_t key_attr = own.key_attr();
-  if (key_attr >= schema.arity()) {
-    ProcessBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
-    return;
-  }
   const Value::Type key_type = schema.type(key_attr);
   const int64_t* int_keys =
       key_type == Value::Type::kInt64 ? batch->Ints(key_attr) : nullptr;

@@ -57,6 +57,8 @@ class SymmetricHashJoin
 
  protected:
   void Process(const Tuple& tuple, int port) override;
+  /// Takes batches whose schema has the port's key attribute.
+  bool AcceptsColumnar(const Schema& schema, int port) const override;
   /// Columnar inner loop: typed-key probes read the key column directly
   /// (an int64 key never touches a Tuple until a row is inserted or
   /// matched), timestamps come from the batch's timestamp column, and the

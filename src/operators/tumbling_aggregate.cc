@@ -12,21 +12,6 @@ TumblingAggregate::TumblingAggregate(std::string name, Options options)
     : Operator(Kind::kOperator, std::move(name), /*input_arity=*/1),
       options_(options) {
   CHECK_GT(options.window_micros, 0);
-  MarkColumnarNative();
-}
-
-SchemaPtr TumblingAggregate::InferOutputSchema(
-    const std::vector<SchemaPtr>& inputs) const {
-  std::vector<Value::Type> types;
-  if (options_.group_attr) {
-    if (inputs.empty() || inputs[0] == nullptr ||
-        *options_.group_attr >= inputs[0]->arity()) {
-      return nullptr;
-    }
-    types.push_back(inputs[0]->type(*options_.group_attr));
-  }
-  types.push_back(Value::Type::kDouble);
-  return MakeSchema(std::move(types));
 }
 
 void TumblingAggregate::Reset() {
@@ -98,20 +83,20 @@ void TumblingAggregate::Process(const Tuple& tuple, int port) {
   g.sum += v;
 }
 
+bool TumblingAggregate::AcceptsColumnar(const Schema& schema, int) const {
+  const size_t v = options_.value_attr;
+  const bool value_ok =
+      options_.kind == AggregateKind::kCount ||
+      (v < schema.arity() && (schema.type(v) == Value::Type::kInt64 ||
+                              schema.type(v) == Value::Type::kDouble));
+  return value_ok &&
+         (!options_.group_attr || *options_.group_attr < schema.arity());
+}
+
 void TumblingAggregate::ProcessColumnar(ColumnarBatchPtr batch, int port) {
+  (void)port;
   const Schema& schema = batch->schema();
   const bool needs_value = options_.kind != AggregateKind::kCount;
-  const bool value_ok =
-      !needs_value ||
-      (options_.value_attr < schema.arity() &&
-       (schema.type(options_.value_attr) == Value::Type::kInt64 ||
-        schema.type(options_.value_attr) == Value::Type::kDouble));
-  const bool group_ok =
-      !options_.group_attr || *options_.group_attr < schema.arity();
-  if (!value_ok || !group_ok) {
-    ProcessBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
-    return;
-  }
   const size_t n = batch->size();
   const AppTime* ts = batch->Timestamps();
   const int64_t* vi = nullptr;

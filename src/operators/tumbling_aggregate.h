@@ -55,10 +55,6 @@ class TumblingAggregate
 
   TumblingAggregate(std::string name, Options options);
 
-  /// Aggregates emit (group?, f64) rows regardless of input layout.
-  SchemaPtr InferOutputSchema(
-      const std::vector<SchemaPtr>& inputs) const override;
-
   void Reset() override;
 
   std::unique_ptr<Operator> CloneFresh(std::string name) const override {
@@ -67,10 +63,12 @@ class TumblingAggregate
 
  protected:
   void Process(const Tuple& tuple, int port) override;
+  /// Takes batches carrying the group column and (unless counting) a
+  /// numeric value column.
+  bool AcceptsColumnar(const Schema& schema, int port) const override;
   /// Columnar kernel: the grouped update loop reads the timestamp, value
   /// and group columns directly (no Tuple per row); window flushes emit
-  /// aggregate rows exactly as the row path does. Falls back to rows when
-  /// the schema lacks the typed columns it needs.
+  /// aggregate rows exactly as the row path does.
   void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
   void OnAllInputsClosed(AppTime timestamp) override;
 

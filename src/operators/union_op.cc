@@ -5,9 +5,7 @@
 namespace flexstream {
 
 UnionOp::UnionOp(std::string name)
-    : Operator(Kind::kOperator, std::move(name), kVariadicArity) {
-  MarkColumnarNative();
-}
+    : Operator(Kind::kOperator, std::move(name), kVariadicArity) {}
 
 void UnionOp::Process(const Tuple& tuple, int port) {
   (void)port;

@@ -15,13 +15,6 @@ class UnionOp : public Operator {
  public:
   explicit UnionOp(std::string name);
 
-  /// Bag union preserves the row layout; the engine's propagation pass
-  /// already collapses conflicting producer schemas to null.
-  SchemaPtr InferOutputSchema(
-      const std::vector<SchemaPtr>& inputs) const override {
-    return inputs.empty() ? nullptr : inputs[0];
-  }
-
   std::unique_ptr<Operator> CloneFresh(std::string name) const override {
     return std::make_unique<UnionOp>(std::move(name));
   }
@@ -32,6 +25,8 @@ class UnionOp : public Operator {
   /// the payload; per-input order is preserved because a batch is a
   /// contiguous run from one producer).
   void ProcessBatch(TupleBatch&& batch, int port) override;
+  /// Every schema passes: a union never reads the columns.
+  bool AcceptsColumnar(const Schema&, int) const override { return true; }
   /// Columnar passthrough: a pointer move, zero per-row work.
   void ProcessColumnar(ColumnarBatchPtr batch, int port) override;
 };

@@ -127,13 +127,6 @@ class QueueOp final : public Operator {
   /// admit/shed/block decision still sees elements one at a time.
   void ReceiveColumnar(ColumnarBatchPtr batch, int port) override;
 
-  /// Queues are schema-transparent; this passthrough lets the engine's
-  /// columnar schema walk (Configure) cross placed queues.
-  SchemaPtr InferOutputSchema(
-      const std::vector<SchemaPtr>& inputs) const override {
-    return inputs.empty() ? nullptr : inputs[0];
-  }
-
   /// Dequeues up to `max_elements` data elements (plus a trailing EOS if it
   /// becomes due) and pushes them downstream in the calling thread. On the
   /// locked path (the deque, merged with the ring by sequence number) the

@@ -54,6 +54,8 @@ class Partition : private QueueOp::SlotYielder {
     /// short period makes large OTS configurations (hundreds of idle
     /// partition threads) burn the CPU in poll wakeups.
     Duration idle_poll = std::chrono::milliseconds(100);
+
+    bool operator==(const Options&) const = default;
   };
 
   Partition(std::string name, std::vector<QueueOp*> queues,

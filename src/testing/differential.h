@@ -95,8 +95,8 @@ struct DiffConfig {
 
   /// Columnar batch layer (EngineOptions::columnar, DESIGN.md §17):
   /// sources scatter accumulated elements into typed ColumnarBatches and
-  /// columnar-native operators run vectorized kernels, materializing back
-  /// to rows at the fallback boundary. Meaningful only with
+  /// operators with a columnar kernel run it, materializing back to rows
+  /// at the columnar door. Meaningful only with
   /// emit_batch_size > 1. Results must stay byte-identical to the row-wise
   /// path — columnar changes representation, never semantics.
   bool columnar = false;

@@ -1,13 +1,12 @@
 // The typed-schema layer for columnar batches.
 //
-// A Schema is the ordered list of attribute types a stream carries. It is
-// fixed at graph-build time for well-typed pipelines (sources declare it,
-// StreamEngine::Configure propagates it through schema-preserving
-// operators) and travels with every ColumnarBatch so kernels can verify at
-// delivery time — cheaply, by shared_ptr identity first — that the typed
-// columns they are about to touch really hold what the static declaration
-// promised. A mismatch is never an error on the hot path: the batch simply
-// materializes to the row-wise fallback (DESIGN.md §17).
+// A Schema is the ordered list of attribute types a stream carries. A
+// source declares it (or infers it from its first element) and it travels
+// with every ColumnarBatch, so each operator's door (AcceptsColumnar)
+// verifies at delivery time that the typed columns its kernel is about to
+// touch really hold what it reads. A mismatch is never an error on the hot
+// path: the batch simply materializes to the row-wise fallback (DESIGN.md
+// §17).
 
 #ifndef FLEXSTREAM_TUPLE_SCHEMA_H_
 #define FLEXSTREAM_TUPLE_SCHEMA_H_

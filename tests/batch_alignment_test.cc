@@ -80,13 +80,12 @@ struct Delivery {
 class Recorder : public Operator {
  public:
   Recorder(std::string name, int arity)
-      : Operator(Kind::kOperator, std::move(name), arity) {
-    MarkColumnarNative();
-  }
+      : Operator(Kind::kOperator, std::move(name), arity) {}
 
   std::vector<Delivery> deliveries;
 
  protected:
+  bool AcceptsColumnar(const Schema&, int) const override { return true; }
   void Process(const Tuple& tuple, int) override {
     deliveries.push_back({'s', CurrentDeliverySender(), {tuple.IntAt(0)}});
   }

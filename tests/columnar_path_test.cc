@@ -1,9 +1,9 @@
 // Columnar execution path integration (DESIGN.md §17): source-side
 // columnar accumulation and schema drift, the punctuation-split invariant,
 // typed kernels vs the row-wise path across engine modes, arena lifetime
-// through boxed queue transport (including spillover), schema propagation
-// across engine-placed queues, pool recycling in steady state, and the
-// fallback contract with the epoch/recovery machinery armed.
+// through boxed queue transport (including spillover), pool recycling in
+// steady state, and the fallback contract with the epoch/recovery
+// machinery armed.
 
 #include <gtest/gtest.h>
 
@@ -40,15 +40,14 @@ constexpr auto kWait = std::chrono::seconds(60);
 class ColumnarRecordingOp : public Operator {
  public:
   explicit ColumnarRecordingOp(std::string name)
-      : Operator(Kind::kOperator, std::move(name), 1) {
-    MarkColumnarNative();
-  }
+      : Operator(Kind::kOperator, std::move(name), 1) {}
 
   std::vector<size_t> columnar_sizes;
   std::vector<size_t> row_batch_sizes;
   int64_t singles = 0;
 
  protected:
+  bool AcceptsColumnar(const Schema&, int) const override { return true; }
   void Process(const Tuple& tuple, int) override {
     ++singles;
     Emit(tuple);
@@ -155,38 +154,106 @@ TEST(ColumnarSourceTest, LingerAndDriftFlushesAreCounted) {
       << "the stats report breaks source flushes down by cause";
 }
 
+/// Records which side of the columnar door (Operator::ReceiveColumnar)
+/// each delivery to an `Op` took: 'c' for the columnar kernel, 'r' for the
+/// row batch path. Deliveries run through unchanged.
+template <typename Op>
+class DoorRecorder : public Op {
+ public:
+  using Op::Op;
+  std::string doors;
+
+ protected:
+  void ProcessBatch(TupleBatch&& batch, int port) override {
+    doors += 'r';
+    Op::ProcessBatch(std::move(batch), port);
+  }
+  void ProcessColumnar(ColumnarBatchPtr batch, int port) override {
+    doors += 'c';
+    Op::ProcessColumnar(std::move(batch), port);
+  }
+};
+
+/// An operator without a columnar kernel (AcceptsColumnar keeps its
+/// default, false).
+class RowOnlyOp : public Operator {
+ public:
+  explicit RowOnlyOp(std::string name)
+      : Operator(Kind::kOperator, std::move(name), 1) {}
+
+ protected:
+  void Process(const Tuple& tuple, int) override { Emit(tuple); }
+  void ProcessBatch(TupleBatch&& batch, int) override {
+    EmitBatch(std::move(batch));
+  }
+};
+
+/// src -> DoorRecorder<Op> [-> collecting sink unless Op is a sink] over
+/// the ints 0..7 in source batches of 4, columnar or row-wise.
+template <typename Op>
+struct DoorRig {
+  QueryGraph g;
+  Source* src = g.Add<Source>("s");
+  DoorRecorder<Op>* op = nullptr;
+  CollectingSink* sink = nullptr;
+
+  template <typename... Args>
+  explicit DoorRig(bool columnar, Args&&... args) {
+    op = g.template Add<DoorRecorder<Op>>("op", std::forward<Args>(args)...);
+    EXPECT_TRUE(g.Connect(src, op).ok());
+    if (!op->is_sink()) {
+      sink = g.Add<CollectingSink>("out");
+      EXPECT_TRUE(g.Connect(op, sink).ok());
+    }
+    src->SetEmitBatchSize(4);
+    src->SetColumnarEmit(columnar);
+  }
+
+  void Feed() {
+    for (int i = 0; i < 8; ++i) src->Push(Tuple::OfInt(i, i));
+    src->Close(8);
+  }
+};
+
+/// Feeds `Op` built from `args` once columnar, once row-wise; expects the
+/// columnar run to take `doors` and both runs to emit the same rows.
+template <typename Op, typename... Args>
+void ExpectDoor(const std::string& doors, const Args&... args) {
+  DoorRig<Op> col(/*columnar=*/true, args...);
+  DoorRig<Op> row(/*columnar=*/false, args...);
+  col.Feed();
+  row.Feed();
+  EXPECT_EQ(col.op->doors, doors);
+  EXPECT_EQ(row.op->doors, "rr") << "row batches never reach a kernel";
+  const std::vector<Tuple> results = col.sink->TakeResults();
+  EXPECT_EQ(results, row.sink->TakeResults());
+  EXPECT_FALSE(results.empty());
+}
+
 TEST(ColumnarSourceTest, NonNativeOperatorMaterializesAtTheDoor) {
   // An operator without a columnar kernel must receive the rows the batch
   // holds — the transparent fallback of the §17 contract.
-  class RowOnlyOp : public Operator {
-   public:
-    explicit RowOnlyOp(std::string name)
-        : Operator(Kind::kOperator, std::move(name), 1) {}
-    std::vector<size_t> row_batch_sizes;
+  ExpectDoor<RowOnlyOp>("rr");
+  // Row-form Selection and MapOp have no kernel; the typed forms take a
+  // batch carrying kInt64 at their attribute.
+  ExpectDoor<Selection>("rr", Selection::IntAttrLessThan(5));
+  ExpectDoor<Selection>("cc", Selection::ColumnIntLessThan(5));
+  ExpectDoor<MapOp>("rr", MapOp::MapFn([](const Tuple& t) {
+                      return Tuple::OfInt(t.IntAt(0) * 3, t.timestamp());
+                    }));
+  ExpectDoor<MapOp>("cc",
+                    Int64ColumnMap{0, [](int64_t v) { return v * 3; }});
 
-   protected:
-    void Process(const Tuple& tuple, int) override { Emit(tuple); }
-    void ProcessBatch(TupleBatch&& batch, int) override {
-      row_batch_sizes.push_back(batch.size());
-      EmitBatch(std::move(batch));
-    }
-  };
-
-  QueryGraph g;
-  Source* src = g.Add<Source>("s");
-  RowOnlyOp* op = g.Add<RowOnlyOp>("legacy");
-  CollectingSink* sink = g.Add<CollectingSink>("out");
-  ASSERT_TRUE(g.Connect(src, op).ok());
-  ASSERT_TRUE(g.Connect(op, sink).ok());
-  src->SetEmitBatchSize(4);
-  src->SetColumnarEmit(true);
-  for (int i = 0; i < 8; ++i) src->Push(Tuple::OfInt(i, i));
-  src->Close(8);
-  EXPECT_EQ(op->row_batch_sizes, (std::vector<size_t>{4, 4}))
-      << "columnar batches materialize to row batches at a non-native gate";
-  const std::vector<Tuple> results = sink->TakeResults();
-  ASSERT_EQ(results.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(results[i].IntAt(0), i);
+  // A counting sink takes every schema, unless its timeline — one sample
+  // per arrival — is on.
+  for (const bool timeline : {false, true}) {
+    DoorRig<CountingSink> col(/*columnar=*/true);
+    if (timeline) col.op->StartTimeline(Now());
+    col.Feed();
+    EXPECT_EQ(col.op->doors, timeline ? "rr" : "cc");
+    EXPECT_EQ(col.op->count(), 8);
+    EXPECT_EQ(col.op->TakeTimeline().size(), timeline ? 8u : 0u);
+  }
 }
 
 // -- Typed kernels match the row path end-to-end -----------------------------
@@ -385,27 +452,7 @@ TEST(ColumnarQueueTest, SpilloverKeepsOrderAndArenaAlive) {
   RunColumnarQueueOrdering(2);
 }
 
-// -- Engine wiring: schema propagation and pooling ---------------------------
-
-TEST(ColumnarEngineTest, ConfigurePropagatesSchemasAcrossPlacedQueues) {
-  ChainPipeline p;
-  BuildTypedChain(&p);
-  StreamEngine engine(&p.graph);
-  EngineOptions options;
-  options.mode = ExecutionMode::kGts;  // places queues before the walk
-  options.emit_batch_size = 64;
-  options.columnar = true;
-  ASSERT_TRUE(engine.Configure(options).ok());
-  for (Node* node : p.graph.nodes()) {
-    if (node->name() == "sel" || node->name() == "map") {
-      Operator* op = dynamic_cast<Operator*>(node);
-      ASSERT_NE(op, nullptr);
-      EXPECT_NE(op->static_output_schema(), nullptr)
-          << node->name() << " did not receive a schema through the queue";
-    }
-  }
-  engine.Stop();
-}
+// -- Engine wiring: pooling -------------------------------------------------
 
 TEST(ColumnarEngineTest, PoolRecyclesBatchesInSteadyState) {
   // Steady state means the consumer keeps up: each 64-row batch is fed,

@@ -211,6 +211,42 @@ TEST(StreamEngineTest, StructuralSwitchWithPausedSources) {
   EXPECT_EQ(fx.sink->size(), fx.expected_results);
 }
 
+TEST(StreamEngineTest, SwitchAppliesEveryChangedOption) {
+  // GTS -> OTS keeps the queues only when nothing but the executors
+  // changes. A switch that also turns on checkpointing and batching must
+  // take the structural path, so the new options actually run.
+  size_t expected = 0;
+  const auto reference = Sorted(RunMode(ExecutionMode::kSourceDriven,
+                                        StrategyKind::kFifo,
+                                        PlacementKind::kStallAvoiding,
+                                        &expected));
+  PipelineFixture fx;
+  StreamEngine engine(&fx.graph);
+  EngineOptions opt;
+  opt.mode = ExecutionMode::kGts;
+  ASSERT_TRUE(engine.Configure(opt).ok());
+  ASSERT_TRUE(engine.Start().ok());
+  Rng rng(7);
+  fx.PushRandom(&rng, 0, 500);
+  EngineOptions ots = opt;
+  ots.mode = ExecutionMode::kOts;
+  ots.checkpoint_epoch_interval = 50;
+  ots.emit_batch_size = 64;
+  ASSERT_TRUE(engine.SwitchTo(ots).ok());
+  EXPECT_NE(engine.recovery(), nullptr) << "checkpointing must be armed";
+  for (Node* node : fx.graph.nodes()) {
+    if (const Source* source = dynamic_cast<const Source*>(node)) {
+      EXPECT_EQ(source->emit_batch_size(), 64u) << source->name();
+    }
+  }
+  fx.PushRandom(&rng, 500, 1000);
+  fx.src->Close(1000);
+  engine.WaitUntilFinished();
+  EXPECT_TRUE(engine.RunResult().ok()) << engine.RunResult();
+  EXPECT_EQ(fx.expected_results, expected);
+  EXPECT_EQ(Sorted(fx.sink->TakeResults()), reference);
+}
+
 TEST(StreamEngineTest, ResetForRerunAllowsFreshRun) {
   PipelineFixture fx;
   for (int run = 0; run < 2; ++run) {

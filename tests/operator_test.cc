@@ -9,7 +9,10 @@
 #include <string>
 #include <thread>
 
+#include "api/shard.h"
 #include "graph/query_graph.h"
+#include "operators/map_op.h"
+#include "operators/projection.h"
 #include "operators/selection.h"
 #include "operators/sink.h"
 #include "operators/source.h"
@@ -146,6 +149,32 @@ TEST(OperatorTest, SelfTimeExcludesDownstreamCost) {
   EXPECT_GE(expensive->CostMicros(), 500.0);
   EXPECT_LT(cheap->CostMicros(), expensive->CostMicros() / 4)
       << "cheap operator must not be billed for the expensive one";
+}
+
+TEST(OperatorTest, ConstructorCostIsTheGatesSimulatedCost) {
+  // Selection, MapOp and Projection take a simulated cost as a constructor
+  // argument. It is the operator's one simulated cost — the one the
+  // delivery gate burns — so it reads back through the base accessor, and
+  // a shard replica of the operator carries it.
+  QueryGraph g;
+  Source* src = g.Add<Source>("s");
+  Selection* sel =
+      g.Add<Selection>("sel", [](const Tuple&) { return true; }, 7.0);
+  const std::vector<std::pair<const Operator*, double>> ops = {
+      {sel, 7.0},
+      {g.Add<MapOp>("map", [](const Tuple& t) { return t; }, 8.0), 8.0},
+      {g.Add<Projection>("proj", std::vector<size_t>{}, 9.0), 9.0}};
+  for (const auto& [op, cost] : ops) {
+    EXPECT_EQ(op->simulated_cost_micros(), cost) << op->name();
+  }
+  CollectingSink* sink = g.Add<CollectingSink>("out");
+  ASSERT_TRUE(g.Connect(src, sel).ok());
+  ASSERT_TRUE(g.Connect(sel, sink).ok());
+  Result<ShardHandle> sharded = ShardOperator(&g, sel, ShardOptions());
+  ASSERT_TRUE(sharded.ok()) << sharded.status().message();
+  for (const Operator* replica : sharded->replicas) {
+    EXPECT_EQ(replica->simulated_cost_micros(), 7.0) << replica->name();
+  }
 }
 
 enum class Delivery { kPerTuple, kRowBatch8, kColumnar8 };
