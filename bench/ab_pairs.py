@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Compares two builds of one bench over alternating runs.
 
-Usage, from the root of a checkout:
+Usage:
 
     python3 bench/ab_pairs.py --base <bench binary> --change <bench binary> \
-        [--base-label <sha>] --pairs 5 --out BENCH_queue.json [-- <bench args>]
+        [--base-label <sha>] [--metrics tuples_per_sec,overhead_pct] \
+        --pairs 5 --out BENCH_queue.json [-- <bench args>]
 
 Runs base and change `--pairs` times, alternating which goes first, each
 writing its usual JSON (a "runs" list of rows with "tuples_per_sec").
-The output is the change's
-last JSON with, on every row, the median and quartiles of tuples_per_sec
-over the change's runs and over the base's runs, and an "ab" block naming
-the base build and the pair count. Rows are matched by every string field
-they carry (scenario, payload, mode).
+Each binary runs from the root of its own checkout (the git work tree
+holding it), so a provenance block names the commit it was built from.
+The output is the change's last JSON with, on every row, the median and
+quartiles of each metric (tuples_per_sec by default) over the change's
+runs and over the base's runs, and an "ab" block naming the base build
+and the pair count. Rows are matched by every string field they carry
+(scenario, payload, mode); a row without a metric is skipped for it.
 """
 
 import argparse
@@ -24,9 +27,19 @@ import tempfile
 from pathlib import Path
 
 
+def checkout_of(binary):
+    """The root of the git work tree holding `binary`, else its directory."""
+    here = Path(binary).resolve().parent
+    top = subprocess.run(["git", "-C", str(here), "rev-parse",
+                          "--show-toplevel"], capture_output=True, text=True)
+    return Path(top.stdout.strip()) if top.returncode == 0 else here
+
+
 def run(binary, args, out_path):
-    subprocess.run([binary, "--out", str(out_path)] + args, check=True,
-                   stdout=subprocess.DEVNULL)
+    binary = Path(binary).resolve()
+    subprocess.run([str(binary), "--out", str(Path(out_path).resolve())] +
+                   args, check=True, stdout=subprocess.DEVNULL,
+                   cwd=checkout_of(binary))
     return json.loads(Path(out_path).read_text())
 
 
@@ -46,12 +59,16 @@ def main():
     parser.add_argument("--base-label", default="",
                         help="names the base build when its bench writes "
                              "no provenance, e.g. its git sha")
+    parser.add_argument("--metrics", default="tuples_per_sec",
+                        help="comma-separated numeric row fields to "
+                             "summarize")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--out", required=True)
     parser.add_argument("bench_args", nargs="*")
     opts = parser.parse_args()
 
-    rates = {"base": {}, "change": {}}
+    metrics = opts.metrics.split(",")
+    values = {"base": {}, "change": {}}
     base_doc = change_doc = None
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(opts.pairs):
@@ -61,8 +78,11 @@ def main():
             for side, binary in order if i % 2 == 0 else order[::-1]:
                 doc = run(binary, opts.bench_args, Path(tmp) / f"{side}.json")
                 for row in doc["runs"]:
-                    rates[side].setdefault(row_key(row), []).append(
-                        row["tuples_per_sec"])
+                    for metric in metrics:
+                        if metric in row:
+                            values[side].setdefault(
+                                (row_key(row), metric), []).append(
+                                    row[metric])
                 if side == "base":
                     base_doc = doc
                 else:
@@ -70,12 +90,18 @@ def main():
             print(f"pair {i + 1}/{opts.pairs} done", file=sys.stderr)
 
     for row in change_doc["runs"]:
-        key = row_key(row)
-        row["pairs"] = {side: spread(rates[side][key])
-                        for side in ("change", "base")}
+        summaries = {}
+        for metric in metrics:
+            key = (row_key(row), metric)
+            if all(key in values[side] for side in ("change", "base")):
+                summaries[metric] = {side: spread(values[side][key])
+                                     for side in ("change", "base")}
+        # One metric keeps the original layout: {"change": ..., "base": ...}.
+        row["pairs"] = (summaries.get(metrics[0], {}) if len(metrics) == 1
+                        else summaries)
     change_doc["ab"] = {
         "pairs": opts.pairs,
-        "metric": "tuples_per_sec",
+        "metric": ",".join(metrics),
         "base_provenance": base_doc.get("provenance", opts.base_label),
     }
     Path(opts.out).write_text(json.dumps(change_doc, indent=1) + "\n")

@@ -17,7 +17,8 @@
 // (past Value's SSO buffer, so the row path pays a real heap string per
 // copy and the columnar path pays an arena append).
 //
-// Results go to stdout and BENCH_columnar.json (override: --out <path>).
+// Results go to stdout and BENCH_columnar.json (override: --out <path>),
+// with a provenance block: git sha, core count, compiler and build type.
 
 #include <atomic>
 #include <cstddef>
@@ -44,6 +45,8 @@
 #include "util/clock.h"
 #include "util/logging.h"
 #include "util/table.h"
+
+#include "provenance.h"
 
 namespace {
 std::atomic<int64_t> g_heap_allocs{0};
@@ -312,7 +315,8 @@ int main(int argc, char** argv) {
 
   std::ofstream out(out_path);
   CHECK(out.good()) << "cannot write " << out_path;
-  out << "{\n  \"bench\": \"columnar\",\n  \"batch\": " << kBatch
+  out << "{\n  \"bench\": \"columnar\",\n  \"provenance\": "
+      << bench::ProvenanceJson() << ",\n  \"batch\": " << kBatch
       << ",\n  \"runs\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];

@@ -23,7 +23,8 @@
 // (per-tuple) the engine's measured pause->restore->replay->resume latency
 // plus replay accounting. Results go to stdout and BENCH_recovery.json
 // (override with --out <path>) together with their provenance: git sha,
-// core count, compiler and build type.
+// core count, compiler and build type. Its "runs" rows (tuples/s per axis
+// and interval) are what bench/ab_pairs.py compares across builds.
 
 #include <algorithm>
 #include <array>
@@ -290,6 +291,24 @@ int main(int argc, char** argv) {
           << (k + 1 < intervals.size() ? "," : "") << "\n";
     }
     out << "     ]}" << (a + 1 < kAxes.size() ? "," : "") << "\n";
+  }
+  // The same medians as flat rows, the layout bench/ab_pairs.py compares
+  // across two builds.
+  out << "  ],\n"
+      << "  \"runs\": [\n";
+  for (size_t a = 0; a < kAxes.size(); ++a) {
+    const AxisResult& r = results[a];
+    out << "    {\"axis\": \"" << kAxes[a].name
+        << "\", \"variant\": \"checkpoint_off\", \"tuples_per_sec\": "
+        << tuples / r.off.median << "},\n";
+    for (size_t k = 0; k < intervals.size(); ++k) {
+      out << "    {\"axis\": \"" << kAxes[a].name
+          << "\", \"variant\": \"checkpoint_on_" << intervals[k]
+          << "\", \"tuples_per_sec\": " << tuples / r.on[k].median
+          << ", \"overhead_pct\": " << r.overhead_pct[k] << "}"
+          << (a + 1 < kAxes.size() || k + 1 < intervals.size() ? "," : "")
+          << "\n";
+    }
   }
   out << "  ],\n"
       << "  \"kill_recover\": {\n"

@@ -8,14 +8,6 @@
 
 namespace flexstream {
 
-namespace {
-
-// The source the calling thread is replaying into (Source::BeginReplay).
-// Thread-local, so only the replaying thread bypasses the recovery gate.
-thread_local const Source* replaying_source = nullptr;
-
-}  // namespace
-
 const char* FlushReasonToString(FlushReason reason) {
   switch (reason) {
     case FlushReason::kFull:
@@ -43,63 +35,46 @@ void Source::Push(Tuple&& tuple) { PushOne(std::move(tuple)); }
 
 template <typename T>
 void Source::PushOne(T&& tuple) {
-  // Armed for epochs, the gate stalls live pushes while recovery
-  // rewinds/replays; replayed pushes come from the thread already holding
-  // it exclusively.
-  const bool armed = epoch_interval_ != 0;
-  const bool replaying = armed && this->replaying();
-  std::shared_lock<std::shared_mutex> gate_lock;
-  if (armed && gate_ != nullptr && !replaying) {
-    gate_lock = std::shared_lock<std::shared_mutex>(*gate_);
-  }
-  // Under the gate: a resize applied mid-recovery would flush into the
-  // graph being restored.
+  // Nothing before a flush takes the gate: a pending element has not
+  // entered the graph, so accumulating is safe while recovery restores it.
   ApplyRequestedBatchSize();
   DCHECK(tuple.is_data());
   DCHECK(!closed_by_driver_) << DebugString() << " pushed after Close";
-  if (armed && !replaying) {
-    if (resume_skip_ > 0) {
-      // Cold-restart prefix: already reflected in the restored state.
-      --resume_skip_;
+  if (resume_skip_ > 0) {
+    // Cold-restart prefix: already reflected in the restored state.
+    --resume_skip_;
+    return;
+  }
+  // Barriers regenerate at the same stream positions in every run: the
+  // epoch's last element flushes the batch together with the barrier, so
+  // a batch never straddles a barrier.
+  const bool closes_epoch =
+      epoch_interval_ != 0 && ++pushed_in_epoch_ >= epoch_interval_;
+  if (emit_batch_size_ == 1) {
+    // Per-tuple delivery: every push is a flush of one element.
+    std::shared_lock<std::shared_mutex> gate_lock = LockGate();
+    FlushLocked(FlushReason::kFull, closes_epoch, &tuple);
+  } else {
+    size_t pending;
+    if (columnar_emit_) {
+      // Scattering copies the attribute payloads into the columns; a
+      // move-in tuple is simply dropped afterwards.
+      AppendPendingColumnar(tuple);
+      pending = pending_col_->size();
+    } else {
+      pending_.PushBack(std::forward<T>(tuple));
+      pending = pending_.size();
+    }
+    if (!closes_epoch) {
+      OnAppended(pending);
       return;
     }
-    // Record before emitting: if a failure poisons the graph mid-emit,
-    // the element is already in the replay buffer.
-    if (observer_ != nullptr) observer_->OnPush(tuple, next_epoch_);
+    FlushPendingBatch(FlushReason::kBarrier, /*closes_epoch=*/true);
   }
-  if (StatsCollectionEnabled()) {
-    stats().RecordArrival(Now());
-    stats().RecordProcessed(0.0);
-  }
-  if (emit_batch_size_ > 1) {
-    Accumulate(std::forward<T>(tuple));
-  } else if constexpr (std::is_lvalue_reference_v<T>) {
-    Emit(tuple);
-  } else {
-    EmitMove(std::move(tuple));
-  }
-  if (armed && ++pushed_in_epoch_ >= epoch_interval_) {
-    // Barriers regenerate deterministically on replay: the counters rewind
-    // to the committed boundary, so replayed elements re-cross the same
-    // epoch boundaries at the same positions. Any accumulating batch is
-    // flushed first — a batch never straddles a barrier.
-    FlushPendingBatch(FlushReason::kBarrier);
-    EmitBarrier(Tuple::EpochBarrier(next_epoch_));
+  if (closes_epoch) {
     ++next_epoch_;
     pushed_in_epoch_ = 0;
   }
-}
-
-template <typename T>
-void Source::Accumulate(T&& tuple) {
-  if (columnar_emit_) {
-    // Scattering copies the attribute payloads into the columns; a
-    // move-in tuple is simply dropped afterwards.
-    AppendPendingColumnar(tuple);
-    return;
-  }
-  pending_.PushBack(std::forward<T>(tuple));
-  OnAppended(pending_.size());
 }
 
 void Source::OnAppended(size_t pending) {
@@ -123,26 +98,62 @@ void Source::SetEmitBatchSize(size_t batch_size) {
   requested_batch_size_.store(emit_batch_size_, std::memory_order_relaxed);
   // Growth-policy satellite: reserve the accumulation buffer to the hint
   // up front instead of letting PushBack double its way there.
-  if (emit_batch_size_ > 1) pending_.reserve(emit_batch_size_);
+  pending_.reserve(emit_batch_size_);
 }
 
-void Source::FlushPendingBatch(FlushReason reason) {
-  if (!pending_.empty()) {
+void Source::FlushPendingBatch(FlushReason reason, bool closes_epoch) {
+  if (!closes_epoch && pending_.empty() &&
+      (pending_col_ == nullptr || pending_col_->empty())) {
+    return;
+  }
+  std::shared_lock<std::shared_mutex> gate_lock = LockGate();
+  FlushLocked<Tuple>(reason, closes_epoch, nullptr);
+}
+
+template <typename One>
+void Source::FlushLocked(FlushReason reason, bool closes_epoch, One* one) {
+  const size_t n = one != nullptr           ? 1
+                   : !pending_.empty()       ? pending_.size()
+                   : pending_col_ != nullptr ? pending_col_->size()
+                                             : 0;
+  if (n > 0 && StatsCollectionEnabled()) {
+    stats().RecordArrival(Now(), static_cast<int64_t>(n));
+    stats().RecordProcessed(0.0, static_cast<int64_t>(n));
+  }
+  // Record before emitting: if a failure poisons the graph mid-emit, the
+  // batch is already in the replay buffer.
+  if (one != nullptr) {
+    if (observer_ != nullptr) {
+      observer_->OnRows(one, 1, FlushForm::kTuple, next_epoch_,
+                        closes_epoch);
+    }
+    if constexpr (std::is_const_v<One>) {
+      Emit(*one);
+    } else {
+      EmitMove(std::move(*one));
+    }
+  } else if (!pending_.empty()) {
+    if (observer_ != nullptr) {
+      observer_->OnRows(&pending_[0], n, FlushForm::kRows, next_epoch_,
+                        closes_epoch);
+    }
     TupleBatch batch = std::move(pending_);
     pending_.clear();  // normalize the moved-from state
     // Steady state: re-reserve the hint so the next fill costs exactly one
     // allocation (the growth-policy satellite; see tests/batch_alloc_test).
-    if (emit_batch_size_ > 1) pending_.reserve(emit_batch_size_);
+    pending_.reserve(emit_batch_size_);
     CountFlush(reason);
     EmitBatch(std::move(batch));
+  } else if (n > 0) {
+    if (observer_ != nullptr) {
+      observer_->OnColumns(*pending_col_, next_epoch_, closes_epoch);
+    }
+    CountFlush(reason);
+    EmitColumnar(std::move(pending_col_));
   }
-  FlushPendingColumnar(reason);
-}
-
-void Source::FlushPendingColumnar(FlushReason reason) {
-  if (pending_col_ == nullptr || pending_col_->empty()) return;
-  CountFlush(reason);
-  EmitColumnar(std::move(pending_col_));
+  // An epoch ends on the push that fills it, so its flush is never empty.
+  DCHECK(n > 0 || !closes_epoch);
+  if (closes_epoch) EmitBarrier(Tuple::EpochBarrier(next_epoch_));
 }
 
 void Source::AppendPendingColumnar(const Tuple& tuple) {
@@ -158,13 +169,12 @@ void Source::AppendPendingColumnar(const Tuple& tuple) {
   if (!pending_col_->AppendTuple(tuple)) {
     // Schema drift mid-stream: flush what accumulated and restart under
     // the element's own schema.
-    FlushPendingColumnar(FlushReason::kSchemaDrift);
+    FlushPendingBatch(FlushReason::kSchemaDrift);
     batch_schema_ = MakeSchema(Schema::InferFrom(tuple).types());
     pending_col_ = columnar::AcquireBatch(batch_schema_);
     const bool ok = pending_col_->AppendTuple(tuple);
     DCHECK(ok);
   }
-  OnAppended(pending_col_->size());
 }
 
 void Source::SetColumnarEmit(bool enabled) {
@@ -176,26 +186,37 @@ void Source::DeclareOutputSchema(SchemaPtr schema) {
   declared_schema_ = std::move(schema);
 }
 
-bool Source::replaying() const { return replaying_source == this; }
+void Source::ReplayFlush(FlushForm form, ColumnarBatchPtr batch,
+                         uint64_t epoch, bool closes_epoch) {
+  switch (form) {
+    case FlushForm::kTuple:
+      for (size_t i = 0; i < batch->size(); ++i) {
+        EmitMove(batch->MaterializeRow(i));
+      }
+      columnar::ReleaseBatch(std::move(batch));
+      break;
+    case FlushForm::kRows:
+      EmitBatch(columnar::MaterializeAndRelease(std::move(batch)));
+      break;
+    case FlushForm::kColumnar:
+      EmitColumnar(std::move(batch));
+      break;
+  }
+  if (closes_epoch) EmitBarrier(Tuple::EpochBarrier(epoch));
+}
 
-void Source::BeginReplay() { replaying_source = this; }
-
-void Source::EndReplay() { replaying_source = nullptr; }
+void Source::ReplayClose(AppTime timestamp) { EmitEos(timestamp); }
 
 void Source::Close(AppTime timestamp) {
-  const bool replaying = this->replaying();
-  std::shared_lock<std::shared_mutex> gate_lock;
-  if (epoch_interval_ != 0 && gate_ != nullptr && !replaying) {
-    gate_lock = std::shared_lock<std::shared_mutex>(*gate_);
-  }
   if (closed_by_driver_) return;
   closed_by_driver_ = true;
-  if (observer_ != nullptr && !replaying) observer_->OnClose(timestamp);
-  FlushPendingBatch(FlushReason::kClose);
+  std::shared_lock<std::shared_mutex> gate_lock = LockGate();
+  FlushLocked<Tuple>(FlushReason::kClose, /*closes_epoch=*/false, nullptr);
+  if (observer_ != nullptr) observer_->OnClose(timestamp);
   EmitEos(timestamp);
 }
 
-void Source::ArmEpochs(uint64_t interval, PushObserver* observer,
+void Source::ArmEpochs(uint64_t interval, FlushObserver* observer,
                        std::shared_mutex* gate) {
   epoch_interval_ = interval;
   observer_ = observer;
@@ -215,13 +236,13 @@ void Source::DisarmEpochs() {
 }
 
 void Source::RewindTo(uint64_t epoch) {
-  closed_by_driver_ = false;
   next_epoch_ = epoch + 1;
   pushed_in_epoch_ = 0;
 }
 
 void Source::Reset() {
   Operator::Reset();
+  if (epochs_armed()) return;
   closed_by_driver_ = false;
   pending_.clear();
   columnar::ReleaseBatch(std::move(pending_col_));

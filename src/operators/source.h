@@ -43,22 +43,36 @@ const char* FlushReasonToString(FlushReason reason);
 /// inject elements.
 ///
 /// Checkpointing (src/recovery/): ArmEpochs makes the source inject an
-/// epoch-barrier punctuation after every `interval` pushed elements and
-/// report each push to a PushObserver (the recovery manager's replay
-/// buffer) *before* emitting it — so an element lost to a failure mid-emit
-/// is still replayable. While armed, Push/Close also take a shared lock on
-/// the recovery gate; recovery takes it exclusively to quiesce all driving
-/// threads before restoring state.
+/// epoch-barrier punctuation after every `interval` pushed elements. Work
+/// is per flushed batch, not per push (DESIGN.md §10): a push only
+/// accumulates into the driver-owned pending batch, and each flush — full,
+/// linger, barrier, close, schema drift or resize — takes a shared lock on
+/// the recovery gate once, reports the batch to a FlushObserver (the
+/// recovery manager's replay buffer) *before* emitting it, so a batch lost
+/// to a failure mid-emit is still replayable, emits it, and at an epoch's
+/// end emits the barrier. Recovery takes the gate exclusively to quiesce
+/// every flush before restoring state; pending elements have not entered
+/// the graph, so the driver keeps accumulating meanwhile. At emit batch
+/// size 1 every push is a flush of one element.
 class Source : public Operator {
  public:
-  /// Observes the armed source's input stream for replay (implemented by
-  /// recovery::ReplayBuffer). Called in the driving thread, before the
-  /// element is emitted. `epoch` is the epoch the element belongs to
-  /// (elements after barrier k-1 and up to barrier k belong to epoch k).
-  class PushObserver {
+  /// How a flush left the source: as one element (emit batch size 1), as
+  /// a row batch, or as a columnar batch. Replay re-emits it the same way.
+  enum class FlushForm : uint8_t { kTuple, kRows, kColumnar };
+
+  /// Observes the armed source's flushes for replay (implemented by
+  /// recovery::ReplayBuffer). Called in the driving thread with the gate
+  /// held, before the batch is emitted. `epoch` is the epoch the batch
+  /// belongs to (elements after barrier k-1 and up to barrier k belong to
+  /// epoch k); `closes_epoch` is set on the flush followed by its barrier.
+  class FlushObserver {
    public:
-    virtual ~PushObserver() = default;
-    virtual void OnPush(const Tuple& tuple, uint64_t epoch) = 0;
+    virtual ~FlushObserver() = default;
+    /// `n` > 0 rows of `form` kTuple (one element) or kRows.
+    virtual void OnRows(const Tuple* rows, size_t n, FlushForm form,
+                        uint64_t epoch, bool closes_epoch) = 0;
+    virtual void OnColumns(const ColumnarBatch& batch, uint64_t epoch,
+                           bool closes_epoch) = 0;
     virtual void OnClose(AppTime timestamp) = 0;
   };
 
@@ -118,7 +132,8 @@ class Source : public Operator {
   void SetLingerClock(Clock* clock) { linger_clock_ = clock; }
 
   /// Batches emitted for `reason` so far (any thread; cumulative across
-  /// Reset, so a recovered run counts its replayed flushes too).
+  /// Reset). Counts the driver's flushes at emit batch sizes > 1, not the
+  /// batches a recovery replays.
   int64_t flushes(FlushReason reason) const {
     return flush_counts_[static_cast<size_t>(reason)].load(
         std::memory_order_relaxed);
@@ -133,10 +148,9 @@ class Source : public Operator {
   bool closed_by_driver() const { return closed_by_driver_; }
 
   /// Arms epoch injection: a barrier after every `interval` pushes,
-  /// deliveries reported to `observer`, Push/Close gated by `gate`.
-  /// Engine-configured; call while quiescent. Survives Reset (the counters
-  /// rewind via RewindTo instead).
-  void ArmEpochs(uint64_t interval, PushObserver* observer,
+  /// flushes reported to `observer`, each flush and Close gated by `gate`.
+  /// Engine-configured; call while quiescent. Survives Reset.
+  void ArmEpochs(uint64_t interval, FlushObserver* observer,
                  std::shared_mutex* gate);
   void DisarmEpochs();
   bool epochs_armed() const { return epoch_interval_ != 0; }
@@ -144,10 +158,11 @@ class Source : public Operator {
   /// The epoch the next pushed element will belong to (1-based).
   uint64_t current_epoch() const { return next_epoch_; }
 
-  /// Recovery rewind: resumes the epoch counters at the boundary of
-  /// committed epoch `epoch`, reopening the source if the driver's Close
-  /// is being replayed too. Call with the gate held exclusively, after
-  /// Reset().
+  /// Cold restart (DESIGN.md §16): starts the epoch counters at the
+  /// boundary of restored epoch `epoch`, so the re-fed input crosses the
+  /// epoch boundaries at the same positions. Call while quiescent, before
+  /// the source is driven. Live recovery never calls it: the driver's
+  /// counters describe its pending batch, which has not entered the graph.
   void RewindTo(uint64_t epoch);
 
   /// Cold-restart resume (DESIGN.md §16): silently discards the next `n`
@@ -157,48 +172,58 @@ class Source : public Operator {
   /// in the restored epoch's state, so the live run resumes exactly at the
   /// durable replay cursor and barriers regenerate at identical positions.
   /// Call with the graph quiescent, after RewindTo. Cleared by
-  /// ArmEpochs/DisarmEpochs but preserved across RewindTo/Reset (a live
-  /// recovery during the skip phase must keep skipping).
+  /// ArmEpochs/DisarmEpochs; a live recovery during the skip phase leaves
+  /// it alone (it is driver state).
   void SetResumeSkip(uint64_t n) { resume_skip_ = n; }
   uint64_t resume_skip() const { return resume_skip_; }
 
-  /// Replay bracket, called by the replaying thread: between BeginReplay
-  /// and EndReplay, Push/Close *from that thread* bypass both the gate (it
-  /// holds the gate exclusively — retaking it would self-deadlock) and the
-  /// observer (replayed elements are already buffered). A Push/Close from
-  /// any other thread — a live driver racing the recovery — still takes
-  /// the gate, so it waits until the sources resume.
-  void BeginReplay();
-  void EndReplay();
+  /// Recovery replay, from the recovery thread holding the gate
+  /// exclusively: re-emits one recorded flush of `form` — `batch`'s rows
+  /// one by one, as a row batch, or as the columnar batch itself — then,
+  /// if `closes_epoch`, the barrier of `epoch`.
+  void ReplayFlush(FlushForm form, ColumnarBatchPtr batch, uint64_t epoch,
+                   bool closes_epoch);
+  /// Recovery replay of the driver's recorded Close: emits the EOS.
+  void ReplayClose(AppTime timestamp);
 
+  /// Armed, Reset leaves the driver-owned state alone — the pending
+  /// batch, the epoch counters, the resume skip and the closed flag: Reset
+  /// is then recovery's wipe of a graph the driver keeps pushing towards.
+  /// Unarmed, it clears that state too (a re-run starts afresh).
   void Reset() override;
 
  protected:
   void Process(const Tuple& tuple, int port) override;
 
  private:
-  /// The one push body behind both Push overloads: recovery gate, resume
-  /// skip and replay record when armed for epochs, stats, then accumulate
-  /// or emit, then the epoch barrier when the epoch is full.
+  /// The one push body behind both Push overloads: resume skip when
+  /// armed, then accumulate; a full, lingered or epoch-ending batch is
+  /// flushed.
   template <typename T>
   void PushOne(T&& tuple);
-  /// True while this thread replays into this source (BeginReplay).
-  bool replaying() const;
-  /// Adds one element to the pending batch (row-wise or columnar).
-  template <typename T>
-  void Accumulate(T&& tuple);
   /// Linger bookkeeping after an append left `pending` elements: stamps a
   /// new batch's start and emits the batch when full or lingered.
   void OnAppended(size_t pending);
   TimePoint LingerNow() {
     return linger_clock_ != nullptr ? linger_clock_->Now() : Now();
   }
-  /// Emits the accumulated batch — row-wise or columnar — downstream.
-  void FlushPendingBatch(FlushReason reason);
+  /// Flushes the pending batch: takes the gate (when armed) and runs
+  /// FlushLocked.
+  void FlushPendingBatch(FlushReason reason, bool closes_epoch = false);
+  /// The one flush body, gate held (or unarmed): records, counts and
+  /// emits `*one` (a per-tuple push; `const Tuple` is copied downstream,
+  /// `Tuple` moved) or else the pending batch, row-wise or columnar; then,
+  /// when `closes_epoch`, the barrier.
+  template <typename One>
+  void FlushLocked(FlushReason reason, bool closes_epoch, One* one);
   /// Scatters one element into the pending columnar batch (creating it
   /// from the pool on first use), flushing first on schema change.
   void AppendPendingColumnar(const Tuple& tuple);
-  void FlushPendingColumnar(FlushReason reason);
+  /// Shared lock on the recovery gate while armed; an empty lock else.
+  std::shared_lock<std::shared_mutex> LockGate() {
+    return gate_ != nullptr ? std::shared_lock<std::shared_mutex>(*gate_)
+                            : std::shared_lock<std::shared_mutex>();
+  }
   void CountFlush(FlushReason reason) {
     std::atomic<int64_t>& count = flush_counts_[static_cast<size_t>(reason)];
     count.store(count.load(std::memory_order_relaxed) + 1,
@@ -213,37 +238,38 @@ class Source : public Operator {
     if (requested != emit_batch_size_) SetEmitBatchSize(requested);
   }
 
+  // Driver-owned state: touched only by the (single) driving thread —
+  // never by recovery, which may run while the driver accumulates.
   bool closed_by_driver_ = false;
 
-  // Batch accumulation (driving-thread only, like the epoch counters).
+  // Batch accumulation.
   size_t emit_batch_size_ = 1;
   // Cross-thread change request, applied by the driving thread.
   std::atomic<size_t> requested_batch_size_{1};
   TupleBatch pending_;
 
-  // Columnar accumulation (driving-thread only).
+  // Columnar accumulation.
   bool columnar_emit_ = false;
   ColumnarBatchPtr pending_col_;
   SchemaPtr declared_schema_;  // user declaration (DeclareOutputSchema)
   SchemaPtr batch_schema_;     // working schema of the current batches
 
-  // Linger bound (driving-thread only). The clock is read when a batch
-  // starts and when it fills; only while the last full batch took longer
-  // than kBatchLinger (linger_watch_) is it also read on every push.
+  // Linger bound. The clock is read when a batch starts and when it
+  // fills; only while the last full batch took longer than kBatchLinger
+  // (linger_watch_) is it also read on every push.
   Clock* linger_clock_ = nullptr;
   TimePoint batch_start_{};
   bool linger_watch_ = false;
-  // Written by the pushing thread (or the replaying thread, under the
-  // gate); read by stats reports on any thread.
+  // Written by the driving thread under the gate; read by stats reports
+  // on any thread.
   std::array<std::atomic<int64_t>, kFlushReasonCount> flush_counts_{};
 
-  // Epoch/replay state. Touched by the (single) driving thread and, with
-  // the gate held exclusively, by the recovery thread.
+  // Epoch state (driver-owned; configured while quiescent).
   uint64_t epoch_interval_ = 0;
   uint64_t next_epoch_ = 1;
   uint64_t pushed_in_epoch_ = 0;
   uint64_t resume_skip_ = 0;
-  PushObserver* observer_ = nullptr;
+  FlushObserver* observer_ = nullptr;
   std::shared_mutex* gate_ = nullptr;
 };
 

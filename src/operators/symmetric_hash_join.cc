@@ -1,6 +1,7 @@
 #include "operators/symmetric_hash_join.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "operators/router.h"
@@ -9,35 +10,67 @@
 #include "util/logging.h"
 
 namespace flexstream {
+namespace {
+
+constexpr AppTime kNoMark = std::numeric_limits<AppTime>::min();
+constexpr AppTime kClosedMark = std::numeric_limits<AppTime>::max();
+
+}  // namespace
 
 SymmetricHashJoin::SymmetricHashJoin(std::string name, AppTime window_micros,
                                      size_t left_key_attr,
                                      size_t right_key_attr)
     : Operator(Kind::kOperator, std::move(name), /*input_arity=*/2),
       window_micros_(window_micros),
-      sides_{KeyedWindow(left_key_attr), KeyedWindow(right_key_attr)} {}
+      sides_{KeyedWindow(left_key_attr), KeyedWindow(right_key_attr)},
+      marks_{kNoMark, kNoMark} {}
 
 void SymmetricHashJoin::Reset() {
   Operator::Reset();
   for (KeyedWindow& side : sides_) side.Clear();
+  marks_ = {kNoMark, kNoMark};
+  closed_edges_ = {0, 0};
+}
+
+void SymmetricHashJoin::OnInputEos(const Node* sender, int port) {
+  (void)sender;
+  size_t edges = 0;
+  for (const InEdge& in : inputs()) edges += in.port == port ? 1 : 0;
+  if (++closed_edges_[port] >= edges) marks_[port] = kClosedMark;
+}
+
+void SymmetricHashJoin::InstallState(const State& state) {
+  sides_ = state;
+  for (int s = 0; s < 2; ++s) {
+    marks_[s] = sides_[s].size() == 0 ? kNoMark : sides_[s].latest();
+  }
+  closed_edges_ = {0, 0};
+}
+
+void SymmetricHashJoin::ExpireFor(AppTime ts, int port) {
+  const AppTime other = marks_[1 - port];
+  if (other != kNoMark) {
+    const AppTime watermark = std::min(ts, other) - window_micros_;
+    sides_[0].ExpireBefore(watermark);
+    sides_[1].ExpireBefore(watermark);
+  }
+  marks_[port] = std::max(marks_[port], ts);
 }
 
 void SymmetricHashJoin::Process(const Tuple& tuple, int port) {
   DCHECK(port == kLeftPort || port == kRightPort);
   KeyedWindow& own = sides_[port];
   KeyedWindow& other = sides_[1 - port];
-  const AppTime watermark = tuple.timestamp() - window_micros_;
-  own.ExpireBefore(watermark);
-  other.ExpireBefore(watermark);
+  ExpireFor(tuple.timestamp(), port);
+  const AppTime band_low = tuple.timestamp() - window_micros_;
   const std::deque<Tuple>* matches = other.Find(tuple.at(own.key_attr()));
   if (matches != nullptr) {
     for (const Tuple& match : *matches) {
       // Explicit window-band check: a pair joins iff each element lies in
-      // the other's window (|delta ts| <= w). Expiration alone is not
-      // enough when the two inputs are drained by different threads and
-      // one side runs ahead — the result multiset must not depend on the
-      // schedule (Section 2.4).
-      if (match.timestamp() < watermark ||
+      // the other's window (|delta ts| <= w). Expiry keeps every tuple a
+      // lagging input may still match, so it keeps older ones too; the
+      // result multiset must not depend on the schedule (Section 2.4).
+      if (match.timestamp() < band_low ||
           match.timestamp() > tuple.timestamp() + window_micros_) {
         continue;
       }
@@ -68,9 +101,8 @@ void SymmetricHashJoin::ProcessColumnar(ColumnarBatchPtr batch, int port) {
   const AppTime* ts = batch->Timestamps();
   const size_t n = batch->size();
   for (size_t i = 0; i < n; ++i) {
-    const AppTime watermark = ts[i] - window_micros_;
-    own.ExpireBefore(watermark);
-    other.ExpireBefore(watermark);
+    ExpireFor(ts[i], port);
+    const AppTime band_low = ts[i] - window_micros_;
     Value key;
     if (int_keys != nullptr) {
       key = Value(int_keys[i]);
@@ -86,7 +118,7 @@ void SymmetricHashJoin::ProcessColumnar(ColumnarBatchPtr batch, int port) {
     Tuple tuple = batch->MaterializeRow(i);
     if (matches != nullptr) {
       for (const Tuple& match : *matches) {
-        if (match.timestamp() < watermark ||
+        if (match.timestamp() < band_low ||
             match.timestamp() > ts[i] + window_micros_) {
           continue;
         }

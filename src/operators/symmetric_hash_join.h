@@ -3,9 +3,17 @@
 // The join of Section 6.3's decoupling experiment. Each side is a
 // KeyedWindow (operators/window.h): a hash table keyed on its join
 // attribute plus an expiration queue. An arriving element expires both
-// windows to its watermark, probes the opposite hash table, emits one
-// concatenated result per match, and is inserted into its own side. Output attribute order is always
-// (left-tuple attrs, right-tuple attrs) regardless of which side arrived.
+// windows, probes the opposite hash table, emits one concatenated result
+// per match, and is inserted into its own side. Output attribute order is
+// always (left-tuple attrs, right-tuple attrs) regardless of which side
+// arrived.
+//
+// Expiry follows the slower input: both windows expire at
+// min(arriving ts, the other input's highest timestamp so far) - w, and an
+// input's end-of-stream lifts its mark. An input running ahead therefore
+// cannot expire tuples the lagging input may still match: with each input
+// timestamp-ordered, every pair within the window joins, whatever the
+// schedule.
 
 #ifndef FLEXSTREAM_OPERATORS_SYMMETRIC_HASH_JOIN_H_
 #define FLEXSTREAM_OPERATORS_SYMMETRIC_HASH_JOIN_H_
@@ -36,6 +44,7 @@ class SymmetricHashJoin
                     size_t left_key_attr = 0, size_t right_key_attr = 0);
 
   void Reset() override;
+  void OnInputEos(const Node* sender, int port) override;
 
   /// Current number of stored tuples (both windows) — the join's state
   /// size, one of the memory metrics benchmarks report.
@@ -68,15 +77,25 @@ class SymmetricHashJoin
 
  private:
   State CaptureState() const override { return sides_; }
-  void InstallState(const State& state) override { sides_ = state; }
+  /// The marks are derived from the held windows: never above the true
+  /// marks, so a restored join never expires more than the original.
+  void InstallState(const State& state) override;
   int64_t ElementCount(const State& state) const override {
     return static_cast<int64_t>(state[0].size() + state[1].size());
   }
   /// Also requires each side's key attribute to match this join's.
   Status Decode(BinaryReader* r, State* state) const override;
 
+  /// Expires both windows for an arrival at `ts` on `port`, then raises
+  /// that port's mark.
+  void ExpireFor(AppTime ts, int port);
+
   AppTime window_micros_;
   State sides_;
+  // Highest timestamp seen per input (kNoMark before its first element,
+  // the maximum once all its edges closed), and closed edges per input.
+  std::array<AppTime, 2> marks_;
+  std::array<size_t, 2> closed_edges_{};
 };
 
 }  // namespace flexstream

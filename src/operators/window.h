@@ -96,6 +96,8 @@ class KeyedWindow {
 
   size_t key_attr() const { return key_attr_; }
   size_t size() const { return expiry_.size(); }
+  /// Timestamp of the newest stored tuple. Requires size() > 0.
+  AppTime latest() const { return expiry_.back().second; }
 
  private:
   size_t key_attr_ = 0;

@@ -93,7 +93,8 @@ void QueueOp::Receive(const Tuple& tuple, int port) {
     EnqueueEos(tuple);
     return;
   }
-  Enqueue(Tuple(tuple), tuple.is_barrier());
+  Tuple copy(tuple);
+  EnqueueRows(&copy, 1, tuple.is_barrier());
 }
 
 void QueueOp::Receive(Tuple&& tuple, int port) {
@@ -103,19 +104,13 @@ void QueueOp::Receive(Tuple&& tuple, int port) {
     return;
   }
   const bool is_barrier = tuple.is_barrier();
-  Enqueue(std::move(tuple), is_barrier);
+  EnqueueRows(&tuple, 1, is_barrier);
 }
 
 void QueueOp::ReceiveBatch(TupleBatch&& batch, int port) {
   (void)port;
   if (batch.empty()) return;
-  if (max_elements_ != 0) {
-    // Bounded: every admit/shed/block decision (and its drop counters)
-    // must see one element at a time — unbundle onto the per-tuple path.
-    for (Tuple& tuple : batch) Enqueue(std::move(tuple));
-    return;
-  }
-  EnqueueBatch(std::move(batch));
+  EnqueueRows(&batch[0], batch.size(), /*is_barrier=*/false);
 }
 
 void QueueOp::ReceiveColumnar(ColumnarBatchPtr batch, int port) {
@@ -125,8 +120,8 @@ void QueueOp::ReceiveColumnar(ColumnarBatchPtr batch, int port) {
     return;
   }
   if (max_elements_ != 0 || !batch_delivery()) {
-    // Bounded: every admit/shed/block decision must see one element at a
-    // time. Per-tuple delivery: a boxed batch would only be unboxed again
+    // Bounded: a bound may admit part of a batch, which a box cannot
+    // carry. Per-tuple delivery: a boxed batch would only be unboxed again
     // at the drain. Either way, materialize onto the row-wise path.
     ReceiveBatch(columnar::MaterializeAndRelease(std::move(batch)), port);
     return;
@@ -135,36 +130,51 @@ void QueueOp::ReceiveColumnar(ColumnarBatchPtr batch, int port) {
 }
 
 template <typename Fill>
-size_t QueueOp::PushLocked(size_t seqs, int64_t arrivals, bool bounded,
-                           Fill&& fill) {
+size_t QueueOp::PushLocked(size_t n, bool arrivals,
+                           std::optional<OverloadPolicy> bound, Fill&& fill) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (bounded && Size() >= max_elements_) {
-    // Shed decisions are taken under the queue lock, so racing producers
-    // cannot overshoot the budget between check and push.
-    const OverloadPolicy policy = overload_policy();
-    if (policy == OverloadPolicy::kShedNewest) {
-      dropped_newest_.fetch_add(1, std::memory_order_relaxed);
-      return 0;
+  // The bound's decision is taken under the queue lock, so racing
+  // producers cannot overshoot the budget between check and push.
+  size_t append = n;
+  size_t shed_oldest = 0;
+  if (bound.has_value()) {
+    const size_t free = FreeSpace();
+    if (*bound == OverloadPolicy::kShedOldest) {
+      // Everything enters; the excess leaves from the head below.
+      shed_oldest = n > free ? n - free : 0;
+    } else {
+      // kBlock (a ring-less queue after its wait) and kShedNewest admit
+      // what fits; kShedNewest drops the rest.
+      append = std::min(n, free);
+      if (append < n && *bound == OverloadPolicy::kShedNewest) {
+        dropped_newest_.fetch_add(static_cast<int64_t>(n - append),
+                                  std::memory_order_relaxed);
+      }
     }
-    if (policy == OverloadPolicy::kShedOldest && !items_.empty() &&
-        items_.front().tuple.is_data()) {
-      // Make room by dropping the head (a kShedOldest queue has no ring,
-      // so the deque head is the queue head). Net size is unchanged, so
-      // the queued count is pre-decremented to balance the caller's
-      // CountQueuedAndMaybeNotify.
-      items_.pop_front();
-      dropped_oldest_.fetch_add(1, std::memory_order_relaxed);
-      queued_items_.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    // kBlock reaches here only after a timed-out (overrun) or bypassed
-    // wait: enqueue anyway — kBlock never drops.
   }
-  if (arrivals > 0 && StatsCollectionEnabled()) {
-    stats().RecordArrival(Now(), arrivals);
+  if (append > 0 && arrivals && StatsCollectionEnabled()) {
+    stats().RecordArrival(Now(), static_cast<int64_t>(append));
   }
   const size_t before = items_.size();
-  fill(g_arrival_seq.fetch_add(seqs, std::memory_order_relaxed));
+  fill(g_arrival_seq.fetch_add(append, std::memory_order_relaxed), append);
   const size_t pushed = items_.size() - before;
+  if (shed_oldest > 0) {
+    // Make room by dropping from the head (a kShedOldest queue has no
+    // ring, so the deque head is the queue head) — older items first, then
+    // this run's own — exactly as one element at a time would. A
+    // punctuation at the head stops it: the rest overruns. The queued
+    // count is pre-decremented to balance the caller's
+    // CountQueuedAndMaybeNotify.
+    size_t dropped = 0;
+    while (dropped < shed_oldest && !items_.empty() &&
+           items_.front().tuple.is_data()) {
+      items_.pop_front();
+      ++dropped;
+    }
+    dropped_oldest_.fetch_add(static_cast<int64_t>(dropped),
+                              std::memory_order_relaxed);
+    queued_items_.fetch_sub(dropped, std::memory_order_acq_rel);
+  }
   // Every writer of both counters holds mutex_: plain stores need no
   // read-modify-write.
   deque_size_.store(items_.size(), std::memory_order_release);
@@ -192,8 +202,9 @@ void QueueOp::EnqueueColumnar(ColumnarBatchPtr batch) {
     ring_pushes_.store(ring_pushes_.load(std::memory_order_relaxed) + 1,
                        std::memory_order_relaxed);
   } else {
-    PushLocked(n, static_cast<int64_t>(n), /*bounded=*/false,
-               [&](uint64_t seq) {
+    // The box draws its n seqs and n arrivals but appends one item.
+    PushLocked(n, /*arrivals=*/true, /*bound=*/std::nullopt,
+               [&](uint64_t seq, size_t) {
                  item.seq = seq;
                  items_.push_back(std::move(item));
                });
@@ -208,9 +219,7 @@ void QueueOp::EmitColumnarDrained(ColumnarBatchPtr col) {
   EmitColumnar(std::move(col));
 }
 
-void QueueOp::EnqueueBatch(TupleBatch&& batch) {
-  DCHECK(!InputClosed()) << DebugString() << " data after close";
-  const size_t n = batch.size();
+void QueueOp::PushRun(Tuple* rows, size_t n, bool is_barrier) {
   size_t chunk = 0;
   if (ring_ != nullptr) {
     // One producer: the stats update and the ring's seq range need no
@@ -218,7 +227,7 @@ void QueueOp::EnqueueBatch(TupleBatch&& batch) {
     // RMW per element, claimed in push order, so the ring stays
     // sequence-ordered and any spilled suffix draws larger numbers below —
     // exactly what the consumer's seq-merge expects.
-    if (StatsCollectionEnabled()) {
+    if (!is_barrier && StatsCollectionEnabled()) {
       stats().RecordArrival(Now(), static_cast<int64_t>(n));
     }
     chunk = std::min(ring_->FreeForProducer(n), n);
@@ -227,56 +236,75 @@ void QueueOp::EnqueueBatch(TupleBatch&& batch) {
           g_arrival_seq.fetch_add(chunk, std::memory_order_relaxed);
       // Bulk push: chunk slot writes, ONE head publish (vs one each).
       ring_->PushBulkUnchecked(chunk, [&](size_t i) {
-        return Item{std::move(batch[i]), base + i};
+        return Item{std::move(rows[i]), base + i};
       });
+      // Single-writer counter (the one producer): load+store avoids the
+      // read-modify-write lock prefix of fetch_add on the hot path.
       ring_pushes_.store(ring_pushes_.load(std::memory_order_relaxed) + chunk,
                          std::memory_order_relaxed);
+      // Count the run before anything else is published: the consumer
+      // may claim it at once, and a spill counted together with it would
+      // then see a non-zero count on an empty queue and skip the wakeup.
+      CountQueuedAndMaybeNotify(chunk, /*is_eos=*/false);
     }
   }
   if (chunk < n) {
     // Ring full or absent: the rest goes through one lock acquisition.
-    PushLocked(n - chunk, ring_ != nullptr ? 0 : static_cast<int64_t>(n),
-               /*bounded=*/false, [&](uint64_t base) {
-                 for (size_t i = chunk; i < n; ++i) {
-                   items_.push_back({std::move(batch[i]), base + (i - chunk)});
+    PushLocked(n - chunk, /*arrivals=*/ring_ == nullptr && !is_barrier,
+               /*bound=*/std::nullopt, [&](uint64_t base, size_t count) {
+                 for (size_t i = 0; i < count; ++i) {
+                   items_.push_back({std::move(rows[chunk + i]), base + i});
                  }
                });
+    CountQueuedAndMaybeNotify(n - chunk, /*is_eos=*/false);
   }
-  CountQueuedAndMaybeNotify(n, /*is_eos=*/false);
 }
 
-void QueueOp::Enqueue(Tuple&& tuple, bool is_barrier) {
+void QueueOp::EnqueueRows(Tuple* rows, size_t n, bool is_barrier) {
+  DCHECK(!InputClosed()) << DebugString() << " data after close";
+  if (is_barrier) {
+    last_barrier_epoch_.store(rows[0].epoch(), std::memory_order_relaxed);
+  }
   // Barriers bypass the bound entirely: never blocked, never shed.
   const bool bounded = max_elements_ != 0 && !is_barrier;
-  if (is_barrier) {
-    last_barrier_epoch_.store(tuple.epoch(), std::memory_order_relaxed);
+  size_t next = 0;
+  while (next < n) {
+    // One step admits as much of the rest as the bound allows at once:
+    // one seq range, one ring publish, one queued-count bump and at most
+    // one notification (two of each when the ring spills), however many
+    // elements that is.
+    size_t go = n - next;
+    const OverloadPolicy policy =
+        bounded ? overload_policy() : OverloadPolicy::kBlock;
+    bool decided = !bounded;  // no shed or space decision left to take
+    if (bounded && policy == OverloadPolicy::kBlock) {
+      // kBlock waits *before* taking any lock, and only while nothing
+      // fits; the wait ends on freed space, cancel, run failure, or
+      // timeout (overrun) — never by dropping data.
+      bool overrun = false;
+      go = WaitForSpace(go, &overrun);
+      // A single producer's granted space can only grow (only the
+      // consumer changes the count), so the ring takes it unchecked; a
+      // ring-less queue re-checks under the lock against racing producers.
+      decided = overrun || ring_ != nullptr;
+    }
+    if (decided) {
+      PushRun(rows + next, go, is_barrier);
+      next += go;
+      continue;
+    }
+    const size_t admitted =
+        PushLocked(go, /*arrivals=*/true, policy,
+                   [&](uint64_t base, size_t count) {
+                     for (size_t i = 0; i < count; ++i) {
+                       items_.push_back({std::move(rows[next + i]), base + i});
+                     }
+                   });
+    if (admitted > 0) CountQueuedAndMaybeNotify(admitted, /*is_eos=*/false);
+    // Shedding settles every element of the step; kBlock only those
+    // admitted (the rest waits again).
+    next += policy == OverloadPolicy::kBlock ? admitted : go;
   }
-  // kBlock waits *before* taking any lock; the wait ends on freed space,
-  // cancel, run failure, or timeout (overrun) — never by dropping data.
-  if (bounded && overload_policy() == OverloadPolicy::kBlock) WaitForSpace();
-  DCHECK(!InputClosed()) << DebugString() << " data after close";
-  // The ring only takes pushes the bound cannot shed: a shedding bound's
-  // decision is PushLocked's, taken under the lock.
-  if (ring_ != nullptr &&
-      !(bounded && overload_policy() != OverloadPolicy::kBlock) &&
-      !ring_->FullApprox()) {
-    if (StatsCollectionEnabled() && !is_barrier) stats().RecordArrival(Now());
-    // FullApprox is producer-exact (only the consumer frees space), so the
-    // push cannot fail. One producer: sequence assignment and push happen
-    // in program order, so the ring stays sequence-ordered.
-    ring_->PushUnchecked(
-        {std::move(tuple),
-         g_arrival_seq.fetch_add(1, std::memory_order_relaxed)});
-    // Single-writer counter (the one producer): load+store avoids the
-    // read-modify-write lock prefix of fetch_add on the hot path.
-    ring_pushes_.store(ring_pushes_.load(std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
-  } else if (PushLocked(1, is_barrier ? 0 : 1, bounded, [&](uint64_t seq) {
-               items_.push_back({std::move(tuple), seq});
-             }) == 0) {
-    return;  // shed
-  }
-  CountQueuedAndMaybeNotify(1, /*is_eos=*/false);
 }
 
 void QueueOp::SetBound(size_t max_elements, OverloadPolicy policy,
@@ -316,25 +344,32 @@ Status QueueOp::SetOverloadPolicyLive(OverloadPolicy policy) {
   return Status::Ok();
 }
 
-void QueueOp::WaitForSpace() {
+size_t QueueOp::FreeSpace() const {
+  const size_t size = Size();
+  return size < max_elements_ ? max_elements_ - size : 0;
+}
+
+size_t QueueOp::WaitForSpace(size_t want, bool* overrun) {
+  *overrun = false;
+  if (const size_t free = FreeSpace(); free > 0) return std::min(free, want);
+  *overrun = true;
   // A producer that *is* this queue's draining context must never park:
   // nobody else will ever free space (e.g. GTS, where the one worker
-  // thread both fills and drains every queue). Overrun instead.
-  if (owner_ != nullptr && owner_ == tl_drain_context) return;
-  if (Size() < max_elements_) return;
-  if (waits_cancelled_.load(std::memory_order_acquire)) return;
+  // thread both fills and drains every queue). Every element overruns.
+  if (owner_ != nullptr && owner_ == tl_drain_context) return want;
+  if (waits_cancelled_.load(std::memory_order_acquire)) return want;
   RunStatus* rs = run_status();
   // Hand our level-3 execution slot (if any) to other partitions for the
   // duration of the park — the consumer that will free this space may be
   // waiting for exactly that slot.
   SlotYielder* const yielder = tl_slot_yielder;
   if (yielder != nullptr) yielder->ReleaseSlot();
+  bool timed_out = false;
   {
     std::unique_lock<std::mutex> lock(space_mutex_);
     space_waiters_.fetch_add(1, std::memory_order_seq_cst);
     block_waits_.fetch_add(1, std::memory_order_relaxed);
     const TimePoint deadline = Now() + block_timeout_;
-    bool timed_out = false;
     while (Size() >= max_elements_ &&
            overload_policy() == OverloadPolicy::kBlock &&
            !waits_cancelled_.load(std::memory_order_acquire) &&
@@ -355,6 +390,16 @@ void QueueOp::WaitForSpace() {
     space_waiters_.fetch_sub(1, std::memory_order_seq_cst);
   }
   if (yielder != nullptr) yielder->ReacquireSlot();
+  // An expired wait, or a policy flip away from kBlock, lets through the
+  // one element it held; the rest waits again or meets the new policy.
+  // Cancelled or failed, every element would pass its wait at once.
+  if (timed_out) return 1;
+  if (const size_t free = FreeSpace(); free > 0) {
+    *overrun = false;
+    return std::min(free, want);
+  }
+  if (overload_policy() != OverloadPolicy::kBlock) return 1;
+  return want;
 }
 
 void QueueOp::NotifySpaceFreed() {
@@ -380,7 +425,8 @@ void QueueOp::EnqueueEos(const Tuple& tuple) {
   // append share one lock acquisition. A close that is not the last one
   // appends nothing (its drawn seq is simply unused).
   const size_t pushed =
-      PushLocked(1, /*arrivals=*/0, /*bounded=*/false, [&](uint64_t seq) {
+      PushLocked(1, /*arrivals=*/false, /*bound=*/std::nullopt,
+                 [&](uint64_t seq, size_t) {
         max_eos_timestamp_ = std::max(max_eos_timestamp_, tuple.timestamp());
         ++eos_received_;
         if (eos_received_ < fan_in() || eos_enqueued_) return;
@@ -469,6 +515,11 @@ size_t QueueOp::DrainBatch(size_t max_elements) {
     // ends this drain. Size() undercounting the claimed-but-unemitted
     // items is fine — only this consumer thread acts on the difference.
     queued_items_.fetch_sub(run, std::memory_order_acq_rel);
+    // Wake blocked producers now, not after the run is emitted: emitting
+    // may park this thread on a full queue downstream, and a producer
+    // waiting on this one would then sit out its wait slice even though
+    // the space is already free.
+    NotifySpaceFreed();
     if (batch_delivery()) {
       // Batch delivery: move the claimed run out of the ring into a
       // TupleBatch and hand it downstream as one ReceiveBatch call.
@@ -545,9 +596,6 @@ size_t QueueOp::DrainBatch(size_t max_elements) {
       ++taken;
     }
   }
-  // The lock-free ring path above frees space without going through
-  // FinishDequeue, so wake blocked producers here.
-  if (taken > 0 || eos_taken) NotifySpaceFreed();
   if (eos_taken) EmitEos(eos_ts);
   return taken;
 }

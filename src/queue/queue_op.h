@@ -44,6 +44,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,13 +110,14 @@ class QueueOp final : public Operator {
   /// values vector. Used by upstream EmitMove.
   void Receive(Tuple&& tuple, int port) override;
 
-  /// Batch enqueue (DESIGN.md §11): adopts every element of `batch`.
-  /// Unbounded queues take a bulk path — one stats update, a straight run
-  /// of ring pushes plus at most one lock acquisition for the rest, and one
-  /// queued-count/notify update for the whole batch. Bounded queues
-  /// unbundle into per-element Enqueue calls so every admit/shed/block
-  /// decision and its counters see elements one at a time, exactly as the
-  /// per-tuple contract specifies.
+  /// Batch enqueue (DESIGN.md §11): adopts every element of `batch` in
+  /// bulk steps — one stats update, a straight run of ring pushes plus at
+  /// most one lock acquisition for the rest, and one queued-count/notify
+  /// update per step. Unbounded, the whole batch is one step. Bounded, a
+  /// step admits min(free, n) at once: kBlock waits only for the
+  /// remainder, and the shed policies settle the remainder in one locked
+  /// step with exact drop counters. The bound is held exactly as the
+  /// per-element contract does (a single-element Receive is a step of 1).
   void ReceiveBatch(TupleBatch&& batch, int port) override;
 
   /// Columnar enqueue (DESIGN.md §17): an unbounded batch-delivery queue
@@ -123,8 +125,8 @@ class QueueOp final : public Operator {
   /// through the ring or deque instead of N row moves — owning a
   /// contiguous run of arrival seqs (the head seq orders the box in the
   /// FIFO merge; the queued count reflects every row). Bounded queues and
-  /// per-tuple-delivery queues materialize to rows at the door so every
-  /// admit/shed/block decision still sees elements one at a time.
+  /// per-tuple-delivery queues materialize to rows at the door and take
+  /// ReceiveBatch's bulk admission (a bound may admit part of a batch).
   void ReceiveColumnar(ColumnarBatchPtr batch, int port) override;
 
   /// Dequeues up to `max_elements` data elements (plus a trailing EOS if it
@@ -353,32 +355,46 @@ class QueueOp final : public Operator {
     ColumnarBatchPtr col;
   };
 
-  void Enqueue(Tuple&& tuple, bool is_barrier = false);
-  /// Bulk enqueue for an unbounded queue: one stats update, a run of ring
-  /// pushes and at most one lock for the rest, one queued-count bump for
-  /// the whole batch.
-  void EnqueueBatch(TupleBatch&& batch);
+  /// The one row enqueue, behind Receive (n = 1) and ReceiveBatch: moves
+  /// `n` rows in, in bulk steps that each admit what the bound allows. A
+  /// barrier (n = 1) bypasses the bound.
+  void EnqueueRows(Tuple* rows, size_t n, bool is_barrier);
+  /// Appends `n` rows with no bound decision left to take: a run of ring
+  /// pushes (one seq range, one publish) and at most one lock for the
+  /// rest, each part counted queued as soon as it is published.
+  void PushRun(Tuple* rows, size_t n, bool is_barrier);
   /// Boxes a columnar batch into one queue item (unbounded + batch
   /// delivery only; see ReceiveColumnar).
   void EnqueueColumnar(ColumnarBatchPtr batch);
   /// Forwards a drained boxed batch downstream (stats + EmitColumnar).
   void EmitColumnarDrained(ColumnarBatchPtr col);
   void EnqueueEos(const Tuple& tuple);
-  /// kBlock producer wait: parks until Size() < max_elements_, the
-  /// timeout expires (overrun), waits are cancelled, or the run failed.
-  void WaitForSpace();
+  /// Room left under the bound (0 when full or overrun).
+  size_t FreeSpace() const;
+  /// kBlock producer wait: how many of the next `want` elements may enter
+  /// now (>= 1). Parks while the queue is full, until space frees, the
+  /// timeout expires, the policy leaves kBlock, waits are cancelled, or
+  /// the run failed. Sets `*overrun` when the elements enter without
+  /// space: one for an expired wait or a policy flip, all `want` for a
+  /// self-drain bypass, a cancel or a failed run — what one wait per
+  /// element would let through.
+  size_t WaitForSpace(size_t want, bool* overrun);
   /// Wakes kBlock producers after a drain freed space (satellite: the
   /// consumer-side space_available notification). Cheap when nobody
   /// waits — one relaxed load.
   void NotifySpaceFreed();
   /// The one locked push, shared by ring-full spill, ring-less enqueue,
-  /// kShedOldest and EOS. Under mutex_ it takes the bound's shed decision
-  /// (when `bounded`), records `arrivals` in the stats, draws `seqs`
-  /// arrival numbers — under the lock, so racing producers keep the deque
-  /// sequence-ordered — and calls `fill(first_seq)` to append the items.
-  /// Returns the number of items appended (0 when the element was shed).
+  /// the shed policies, boxes and EOS. Under mutex_ it takes the bound's
+  /// decision over `n` elements (under a `bound` policy): kBlock and kShedNewest
+  /// admit what fits (kShedNewest counts the rest dropped), kShedOldest
+  /// admits all and drops the excess from the head. It records the
+  /// admitted count as arrivals (when `arrivals`), draws that many arrival
+  /// numbers — under the lock, so racing producers keep the deque
+  /// sequence-ordered — and calls `fill(first_seq, admitted)` to append
+  /// the items. Returns the number of items appended.
   template <typename Fill>
-  size_t PushLocked(size_t seqs, int64_t arrivals, bool bounded, Fill&& fill);
+  size_t PushLocked(size_t n, bool arrivals,
+                    std::optional<OverloadPolicy> bound, Fill&& fill);
   /// Bumps the queued-item count by `n`, maintains the peak, and fires the
   /// listener on the empty -> non-empty transition (or unconditionally
   /// for EOS).

@@ -189,6 +189,8 @@ Result<uint64_t> RecoveryManager::RestoreFromDisk() {
   // All records validated — now mutate the graph: wipe, rewind, install.
   coordinator_.SetRestoredState(epoch, std::move(snapshots));
   ResetToCommittedEpoch();
+  // The rebuilt sources start counting epochs at the restored boundary.
+  for (Source* source : sources_) source->RewindTo(epoch);
   // The replay buffers never see the resume-skipped prefix, so seed their
   // recorded counts with the restored cursors — cursors persisted by this
   // incarnation stay stream-absolute and a later cold restart skips the
@@ -248,7 +250,7 @@ void RecoveryManager::FinishAttempt(int64_t latency_micros) {
 
 void RecoveryManager::PauseSources() {
   CHECK(pause_lock_ == nullptr) << "sources already paused";
-  // Blocks until every in-flight (shared-locked) Push/Close drains.
+  // Blocks until every in-flight (shared-locked) flush/Close drains.
   pause_lock_ = std::make_unique<std::unique_lock<std::shared_mutex>>(gate_);
 }
 
@@ -269,16 +271,11 @@ void RecoveryManager::RestoreCommittedState() {
 void RecoveryManager::ResetToCommittedEpoch() {
   const uint64_t epoch = coordinator_.committed_epoch();
   // 1. Wipe every node back to pristine (windows, hash tables, EOS
-  //    counters, queue contents, alignment state). Sources rewind their
-  //    epoch counters to the committed boundary, reopening if the driver's
-  //    Close is part of the replayed suffix.
-  for (Node* node : graph_->nodes()) {
-    node->Reset();
-    if (node->is_source()) {
-      auto* source = dynamic_cast<Source*>(node);
-      if (source != nullptr) source->RewindTo(epoch);
-    }
-  }
+  //    counters, queue contents, alignment state). Armed sources keep
+  //    their driver-owned pending batch and epoch counters: nothing
+  //    pending has entered the graph, and the replay re-emits every
+  //    flushed batch past the committed epoch with its barrier.
+  for (Node* node : graph_->nodes()) node->Reset();
   // 2. Re-install the committed snapshots; everything stateful without a
   //    committed entry (closed before the epoch, or registered later)
   //    stays empty.
@@ -299,11 +296,7 @@ void RecoveryManager::ResetToCommittedEpoch() {
 
 void RecoveryManager::ReplaySources() {
   CHECK(pause_lock_ != nullptr) << "replay requires the gate held";
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    sources_[i]->BeginReplay();
-    buffers_[i]->Replay();
-    sources_[i]->EndReplay();
-  }
+  for (auto& buffer : buffers_) buffer->Replay();
 }
 
 int64_t RecoveryManager::replayed_elements() const {

@@ -82,19 +82,20 @@ class RecoveryManager {
   void FinishAttempt(int64_t latency_micros);
 
   /// Quiesces the sources: takes the gate exclusively, waiting out every
-  /// in-flight Push/Close. Balanced by ResumeSources.
+  /// in-flight flush/Close. Drivers keep accumulating into their pending
+  /// batches meanwhile; their next flush waits. Balanced by ResumeSources.
   void PauseSources();
   void ResumeSources();
 
   /// Restores the last committed epoch into the quiesced graph: resets
-  /// every node, re-installs committed snapshots, rewinds sources and
-  /// epoch counters. Call between PauseSources and ResumeSources, with
-  /// executors stopped.
+  /// every node and re-installs committed snapshots. The sources' pending
+  /// batches and epoch counters are the drivers' and stay. Call between
+  /// PauseSources and ResumeSources, with executors stopped.
   void RestoreCommittedState();
 
-  /// Re-pushes the retained post-epoch input of every source. Executors
-  /// must be running again; the gate must still be held (replay bypasses
-  /// it via the sources' replay bracket).
+  /// Re-emits the retained post-epoch batches (and barriers) of every
+  /// source from the calling thread. Executors must be running again; the
+  /// gate must still be held, so live flushes land after the replay.
   void ReplaySources();
 
   /// Cold restart (DESIGN.md §16): loads the newest intact epoch from the
@@ -140,9 +141,9 @@ class RecoveryManager {
   /// Failures are logged and counted, never fatal to the run.
   void PersistEpoch(uint64_t epoch);
   /// The restore sequence shared by live recovery and cold restart: resets
-  /// every node, rewinds the sources to the coordinator's committed epoch,
-  /// re-installs its committed snapshots and fast-forwards every
-  /// operator's alignment baseline to that epoch. Graph quiescent.
+  /// every node, re-installs the coordinator's committed snapshots and
+  /// fast-forwards every operator's alignment baseline to that epoch.
+  /// Graph quiescent.
   void ResetToCommittedEpoch();
 
   const Options options_;
@@ -153,7 +154,7 @@ class RecoveryManager {
   std::unique_ptr<SnapshotStore> store_;
   std::atomic<int64_t> persist_failures_{0};
 
-  // Source pause gate: sources take it shared per Push/Close, recovery
+  // Source pause gate: sources take it shared per flush/Close, recovery
   // exclusively. unique_lock stored so Pause/Resume can span calls.
   std::shared_mutex gate_;
   std::unique_ptr<std::unique_lock<std::shared_mutex>> pause_lock_;

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
+#include "api/stream_engine.h"
 #include "graph/query_graph.h"
 #include "operators/multiway_join.h"
 #include "operators/sink.h"
@@ -149,6 +153,57 @@ TEST(ShjTest, ScheduleIndependentWindowBand) {
   rig.left->Push(Tuple::OfInt(7, 950));
   EXPECT_EQ(rig.sink->size(), 1u);
 }
+
+// One input runs a whole stream ahead of the other: every left element
+// (and the left EOS) is pushed before the first right one. Expiry by the
+// slower input keeps every left tuple a right one can still match, so the
+// join finds every in-band pair under every scheduler.
+class ShjSkewTest : public ::testing::TestWithParam<ExecutionMode> {};
+
+TEST_P(ShjSkewTest, FindsEveryInBandPairWhenOneInputRunsAhead) {
+  constexpr int kPerSide = 400;
+  constexpr AppTime kWindow = 30;
+  std::vector<Tuple> lefts;
+  std::vector<Tuple> rights;
+  for (int i = 0; i < kPerSide; ++i) {
+    lefts.push_back(Tuple({Value(int64_t{i % 7}), Value(int64_t{i})}, 3 * i));
+    rights.push_back(
+        Tuple({Value(int64_t{i % 7}), Value(int64_t{-i})}, 3 * i + 1));
+  }
+  std::vector<Tuple> expected;
+  for (const Tuple& l : lefts) {
+    for (const Tuple& r : rights) {
+      if (l.at(0) == r.at(0) &&
+          std::abs(l.timestamp() - r.timestamp()) <= kWindow) {
+        expected.push_back(Tuple::Concat(l, r));
+      }
+    }
+  }
+  ASSERT_FALSE(expected.empty());
+
+  JoinRig rig;
+  rig.Wire<SymmetricHashJoin>("j", kWindow);
+  StreamEngine engine(&rig.graph);
+  EngineOptions options;
+  options.mode = GetParam();
+  ASSERT_TRUE(engine.Configure(options).ok());
+  ASSERT_TRUE(engine.Start().ok());
+  for (const Tuple& l : lefts) rig.left->Push(l);
+  rig.left->Close(lefts.back().timestamp());
+  for (const Tuple& r : rights) rig.right->Push(r);
+  rig.right->Close(rights.back().timestamp());
+  ASSERT_TRUE(engine.WaitUntilFinishedFor(std::chrono::seconds(60)));
+  ASSERT_TRUE(engine.RunResult().ok());
+  EXPECT_EQ(Sorted(rig.sink->TakeResults()), Sorted(expected));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedulers, ShjSkewTest,
+    ::testing::Values(ExecutionMode::kGts, ExecutionMode::kOts,
+                      ExecutionMode::kHmts),
+    [](const ::testing::TestParamInfo<ExecutionMode>& info) {
+      return std::string(ExecutionModeToString(info.param));
+    });
 
 TEST(SnjTest, ScheduleIndependentWindowBand) {
   JoinRig rig;

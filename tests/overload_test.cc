@@ -16,6 +16,9 @@
 #include "queue/queue_op.h"
 #include "stats/report.h"
 #include "test_util.h"
+#include "tuple/batch_pool.h"
+#include "tuple/columnar_batch.h"
+#include "tuple/schema.h"
 #include "util/clock.h"
 
 namespace flexstream {
@@ -150,6 +153,119 @@ TEST(OverloadTest, EosNeverShed) {
   while (!rig.queue->Exhausted()) rig.queue->DrainBatch(16);
   EXPECT_EQ(rig.sink->size(), 2u);
 }
+
+// -- Bulk admission of batches into a bounded queue ------------------------
+//
+// A batch bigger than the queue's free space, with no consumer draining:
+// one step admits what fits, and the policy settles the rest. The batch
+// arrives either as rows (ReceiveBatch) or as a columnar batch, which a
+// bounded queue materializes at its door.
+
+/// Rows i = 0..n-1 as Tuple::OfInt(i, i).
+TupleBatch Rows(int n) {
+  TupleBatch rows;
+  for (int i = 0; i < n; ++i) rows.PushBack(Tuple::OfInt(i, i));
+  return rows;
+}
+
+class BoundedBatchTest : public ::testing::TestWithParam<bool> {
+ protected:
+  /// Delivers rows 0..n-1 to the queue as one batch of the parameter's
+  /// kind.
+  static void Deliver(QueueOp* queue, int n) {
+    TupleBatch rows = Rows(n);
+    if (!GetParam()) {
+      queue->ReceiveBatch(std::move(rows), 0);
+      return;
+    }
+    ColumnarBatchPtr batch =
+        columnar::AcquireBatch(MakeSchema({Value::Type::kInt64}));
+    for (const Tuple& row : rows) ASSERT_TRUE(batch->AppendTuple(row));
+    queue->ReceiveColumnar(std::move(batch), 0);
+  }
+
+  /// Drains until `n` elements reached the sink (or a deadline passes).
+  static void DrainUntil(QueueRig* rig, size_t n) {
+    const TimePoint deadline = Now() + std::chrono::seconds(20);
+    while (rig->sink->size() < n && Now() < deadline) {
+      if (rig->queue->DrainBatch(3) == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  }
+};
+
+TEST_P(BoundedBatchTest, ShedNewestAdmitsFreeAndDropsTheRest) {
+  QueueRig rig;
+  rig.queue->SetSingleProducer(true);
+  rig.queue->SetBound(8, OverloadPolicy::kShedNewest);
+  int wakeups = 0;
+  rig.queue->SetEnqueueListener([&wakeups] { ++wakeups; });
+  rig.queue->Receive(Tuple::OfInt(-1, 0), 0);  // 7 slots left
+
+  Deliver(rig.queue, 20);
+  EXPECT_EQ(rig.queue->Size(), 8u);
+  EXPECT_EQ(rig.queue->PeakSize(), 8u);
+  EXPECT_EQ(rig.queue->dropped_newest(), 13);
+  EXPECT_EQ(rig.queue->dropped_oldest(), 0);
+  EXPECT_EQ(wakeups, 1) << "the batch joined a non-empty queue";
+
+  DrainUntil(&rig, 8);
+  const std::vector<Tuple> results = rig.sink->Results();
+  ASSERT_EQ(results.size(), 8u);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(results[i].IntAt(0), i - 1);
+}
+
+TEST_P(BoundedBatchTest, ShedOldestKeepsTheNewestOfTheBatch) {
+  QueueRig rig;
+  rig.queue->SetBound(8, OverloadPolicy::kShedOldest);
+  rig.queue->Receive(Tuple::OfInt(-1, 0), 0);
+
+  Deliver(rig.queue, 20);
+  EXPECT_EQ(rig.queue->Size(), 8u);
+  EXPECT_EQ(rig.queue->PeakSize(), 8u);
+  EXPECT_EQ(rig.queue->dropped_oldest(), 13);
+  EXPECT_EQ(rig.queue->dropped_newest(), 0);
+
+  DrainUntil(&rig, 8);
+  const std::vector<Tuple> results = rig.sink->Results();
+  ASSERT_EQ(results.size(), 8u);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(results[i].IntAt(0), 12 + i);
+}
+
+TEST_P(BoundedBatchTest, BlockAdmitsFreeAndParksForTheRest) {
+  QueueRig rig;
+  rig.queue->SetSingleProducer(true);
+  rig.queue->SetBound(8, OverloadPolicy::kBlock, std::chrono::seconds(30));
+
+  std::atomic<bool> delivered{false};
+  std::thread producer([&] {
+    Deliver(rig.queue, 20);
+    delivered.store(true);
+  });
+  const TimePoint park_deadline = Now() + std::chrono::seconds(10);
+  while (rig.queue->block_waits() == 0 && Now() < park_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(rig.queue->block_waits(), 1);
+  EXPECT_EQ(rig.queue->Size(), 8u) << "the first step admits what fits";
+  EXPECT_FALSE(delivered.load());
+
+  DrainUntil(&rig, 20);
+  producer.join();
+  EXPECT_TRUE(delivered.load());
+  EXPECT_LE(rig.queue->PeakSize(), 8u);
+  EXPECT_EQ(rig.queue->dropped(), 0);
+  EXPECT_EQ(rig.queue->block_timeouts(), 0);
+  const std::vector<Tuple> results = rig.sink->Results();
+  ASSERT_EQ(results.size(), 20u);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(results[i].IntAt(0), i);
+}
+
+INSTANTIATE_TEST_SUITE_P(Delivery, BoundedBatchTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Columnar" : "Rows";
+                         });
 
 // -- End-to-end overload accounting (two-partition HMTS) -------------------
 //

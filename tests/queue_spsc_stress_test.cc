@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "sched/partition.h"
 #include "sched/strategy.h"
 #include "test_util.h"
+#include "util/clock.h"
 
 namespace flexstream {
 namespace {
@@ -92,6 +94,51 @@ TEST(QueueSpscStressTest, PartitionDrivenConsumerWithCoalescedWakeups) {
   // to per-tuple notification.
   EXPECT_LT(q->notifications(), kCount / 2)
       << "wakeups should be O(batches), not O(tuples)";
+}
+
+// A batch bigger than the ring's free space is published in two parts: a
+// ring run and a locked spill. The consumer can claim the ring run before
+// the spill lands; if both parts were counted queued together, the count
+// would then be non-zero on an empty queue and the spill's empty ->
+// non-empty wakeup would be skipped, stranding it until the idle poll.
+// The poll here is far longer than the test's deadline. The producer
+// sends two batches back to back, the second landing while the consumer
+// drains the first (the merge path, holding the queue lock the spill
+// needs), then waits for both to drain.
+TEST(QueueSpscStressTest, SpilledBatchesNeverStrandTheConsumer) {
+  QueryGraph g;
+  Source* src = g.Add<Source>("src");
+  QueueOp* q = g.Add<QueueOp>("q", /*ring_capacity=*/16);
+  CountingSink* sink = g.Add<CountingSink>("sink");
+  ASSERT_TRUE(g.Connect(src, q).ok());
+  ASSERT_TRUE(g.Connect(q, sink).ok());
+  q->SetSingleProducer(true);
+  q->SetBatchDelivery(true);
+  src->SetEmitBatchSize(24);  // every batch overflows the 16-slot ring
+
+  Partition::Options options;
+  options.idle_poll = std::chrono::seconds(60);
+  Partition partition("p0", {q}, MakeStrategy(StrategyKind::kFifo), options);
+  partition.Start();
+
+  constexpr int kBatches = 20000;
+  bool stranded = false;
+  for (int b = 0; b < kBatches && !stranded; ++b) {
+    for (int i = 0; i < 24; ++i) src->Push(Tuple::OfInt(b * 24 + i, b));
+    if (b % 2 == 0) continue;
+    const TimePoint deadline = Now() + std::chrono::seconds(5);
+    while (sink->count() < (b + 1) * 24 && Now() < deadline) {
+      std::this_thread::yield();
+    }
+    stranded = sink->count() < (b + 1) * 24;
+  }
+  src->Close(kBatches);
+  EXPECT_FALSE(stranded) << "a spilled batch waited for the idle poll";
+  ASSERT_TRUE(sink->WaitUntilClosedFor(std::chrono::seconds(90)));
+  partition.RequestStop();
+  partition.Join();
+  EXPECT_EQ(sink->count(), kBatches * 24);
+  EXPECT_GT(q->locked_pushes(), 0) << "no batch spilled past the ring";
 }
 
 TEST(QueueSpscStressTest, RinglessQueueTakesConcurrentProducersUnderLock) {

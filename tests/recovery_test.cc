@@ -30,6 +30,7 @@
 #include "stats/report.h"
 #include "testing/chaos.h"
 #include "tuple/tuple.h"
+#include "util/clock.h"
 
 namespace flexstream {
 namespace {
@@ -87,14 +88,12 @@ TEST(ReplayBufferTest, RecordsTrimsAndReplays) {
   EXPECT_EQ(buffer.depth(), 4u);
 
   // Rewind to the committed boundary and replay: the four retained
-  // elements (and the Close) are re-pushed, bypassing gate and observer.
+  // elements (and the Close) are re-emitted straight from the buffer.
   sink->TakeResults();
   graph.ResetAll();
   src->RewindTo(1);
   EXPECT_EQ(src->current_epoch(), 2u);
-  src->BeginReplay();
   buffer.Replay();
-  src->EndReplay();
   EXPECT_EQ(buffer.depth(), 4u);  // replay retains (for a second failure)
   EXPECT_EQ(buffer.replayed_elements(), 4);
   const std::vector<Tuple> replayed = sink->TakeResults();
@@ -261,6 +260,67 @@ TEST(RecoveryReplayRaceTest, LivePushDuringReplayWaitsForResume) {
       << "the live push was recorded for replay";
 }
 
+// Batch-granular ingest: pending elements have not entered the graph, so
+// recovery leaves the driver's pending batch alone. A live driver keeps
+// accumulating while recovery holds the gate; its next flush waits, and
+// lands after the replayed batches.
+TEST(RecoveryReplayRaceTest, PendingBatchFlushesAfterReplay) {
+  QueryGraph graph;
+  Source* src = graph.Add<Source>("src");
+  HookOp* hook_op = graph.Add<HookOp>("hook");
+  CollectingSink* sink = graph.Add<CollectingSink>("sink");
+  ASSERT_TRUE(graph.Connect(src, hook_op).ok());
+  ASSERT_TRUE(graph.Connect(hook_op, sink).ok());
+  VirtualClock clock;  // never advances: batches flush only when full
+  src->SetLingerClock(&clock);
+  src->SetEmitBatchSize(4);
+  RecoveryManager::Options options;
+  options.epoch_interval = 1000;  // no commit: replay re-emits everything
+  RecoveryManager recovery(options);
+  ASSERT_TRUE(recovery.Arm(&graph).ok());
+  // Two full batches flush; elements 8 and 9 stay pending in the source.
+  for (int i = 0; i < 10; ++i) src->Push(Tuple::OfInt(i, i + 1));
+  EXPECT_EQ(recovery.replay_depth(), 8u) << "pending elements are recorded "
+                                            "when their batch flushes";
+
+  // On the first replayed element, a live driver pushes two more: the
+  // first only accumulates (it returns during the replay), the second
+  // fills the batch and its flush waits at the gate until ResumeSources.
+  std::atomic<int> live_pushed{0};
+  int pushed_during_replay = 0;
+  std::thread live;
+  hook_op->hook = [&] {
+    live = std::thread([&] {
+      for (int i = 10; i < 12; ++i) {
+        src->Push(Tuple::OfInt(i, i + 1));
+        live_pushed.fetch_add(1);
+      }
+    });
+    const TimePoint deadline = Now() + std::chrono::milliseconds(200);
+    while (live_pushed.load() < 2 && Now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    pushed_during_replay = live_pushed.load();
+  };
+  recovery.PauseSources();
+  recovery.RestoreCommittedState();
+  recovery.ReplaySources();
+  ASSERT_TRUE(live.joinable()) << "replay never reached the hook";
+  EXPECT_EQ(pushed_during_replay, 1)
+      << "accumulating must not wait for recovery; flushing must";
+  recovery.ResumeSources();
+  live.join();
+  src->Close(12);
+
+  // The replayed 0..7, then the pending 8, 9 with the live 10, 11: every
+  // element once, in order.
+  const std::vector<Tuple> results = sink->TakeResults();
+  ASSERT_EQ(results.size(), 12u);
+  for (int i = 0; i < 12; ++i) EXPECT_EQ(results[i].IntAt(0), i);
+  EXPECT_EQ(recovery.replayed_elements(), 8);
+  EXPECT_EQ(recovery.replay_depth(), 12u);
+}
+
 struct Pipeline {
   std::unique_ptr<QueryGraph> graph;
   Source* source = nullptr;
@@ -359,6 +419,64 @@ TEST(EngineRecoveryTest, KillRecoverResumeMatchesGolden) {
   // The recovery stats table reflects the run.
   const Table table = BuildRecoveryTable(*engine.recovery());
   EXPECT_GT(table.row_count(), 0u);
+}
+
+// A kill that lands while the source holds a partial pending batch: the
+// driver pushes three elements past the last flush, the engine recovers
+// with them still pending, and the run still delivers every element
+// exactly once, in order.
+TEST(EngineRecoveryTest, KillWithPartialPendingBatchRecoversExactly) {
+  constexpr int kFeed = 200;
+  QueryGraph graph;
+  QueryBuilder qb(&graph);
+  Source* src = qb.AddSource("src");
+  Selection* sel = qb.Select(src, "sel", [](const Tuple&) { return true; });
+  CollectingSink* sink = qb.CollectSink(sel, "sink");
+  VirtualClock clock;  // never advances: batches flush only when full
+  src->SetLingerClock(&clock);
+
+  StreamEngine engine(&graph);
+  EngineOptions options;
+  options.mode = ExecutionMode::kGts;
+  options.emit_batch_size = 8;
+  options.checkpoint_epoch_interval = 16;  // barriers cut full batches only
+  ASSERT_TRUE(engine.Configure(options).ok());
+  ChaosOptions chaos_options;
+  chaos_options.kill_operator = "sel";
+  chaos_options.kill_after = 20;
+  ChaosInjector chaos(chaos_options);
+  chaos.Arm(&graph, engine.queues());
+  ASSERT_TRUE(engine.Start().ok());
+
+  std::atomic<bool> pending{false};
+  std::thread driver([&] {
+    int i = 0;
+    for (; i < 24; ++i) src->Push(Tuple::OfInt(i, i + 1));  // 3 batches
+    const TimePoint deadline = Now() + kWait;
+    while (chaos.permanent_injections() == 0 && Now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    for (; i < 27; ++i) src->Push(Tuple::OfInt(i, i + 1));  // pending
+    pending.store(true);
+    while (engine.recovery()->completed_recoveries() == 0 &&
+           Now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    for (; i < kFeed; ++i) src->Push(Tuple::OfInt(i, i + 1));
+    src->Close(kFeed);
+  });
+  while (!pending.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(engine.WaitUntilFinishedFor(kWait));
+  driver.join();
+  EXPECT_TRUE(engine.RunResult().ok()) << engine.RunResult().message();
+  EXPECT_EQ(chaos.permanent_injections(), 1);
+  EXPECT_EQ(engine.recovery()->completed_recoveries(), 1);
+
+  const std::vector<Tuple> results = sink->TakeResults();
+  ASSERT_EQ(results.size(), static_cast<size_t>(kFeed));
+  for (int i = 0; i < kFeed; ++i) EXPECT_EQ(results[i].IntAt(0), i);
 }
 
 TEST(EngineRecoveryTest, DoubleKillRecoversTwice) {

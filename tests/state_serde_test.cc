@@ -401,7 +401,9 @@ TEST(StateSerdeTest, SymmetricHashJoinGoldenBytes) {
   right->Push(Tuple({Value(0.5), Value(int64_t{1})}, 11));
   left->Push(Tuple({Value(int64_t{2}), Value(std::string("b"))}, 12));
   left->Push(Tuple({Value(int64_t{1}), Value(std::string("c"))}, 13));
-  // Expires the tuples at 10 and 11.
+  // The left input's end lifts its expiry mark, so the right tuple at
+  // 10'012 expires the tuples at 10 and 11.
+  left->Close(13);
   right->Push(Tuple({Value(0.25), Value(int64_t{2})}, 10'012));
   ExpectGoldenBytes(join,
                     "00000000000000000200000000000000000c00000000000000000000"
