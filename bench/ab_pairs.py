@@ -4,18 +4,18 @@
 Usage:
 
     python3 bench/ab_pairs.py --base <bench binary> --change <bench binary> \
-        [--base-label <sha>] [--metrics tuples_per_sec,overhead_pct] \
-        --pairs 5 --out BENCH_queue.json [-- <bench args>]
+        [--base-label <sha>] --pairs 5 --out BENCH_queue.json \
+        [-- <bench args>]
 
 Runs base and change `--pairs` times, alternating which goes first, each
-writing its usual JSON (a "runs" list of rows with "tuples_per_sec").
-Each binary runs from the root of its own checkout (the git work tree
-holding it), so a provenance block names the commit it was built from.
-The output is the change's last JSON with, on every row, the median and
-quartiles of each metric (tuples_per_sec by default) over the change's
-runs and over the base's runs, and an "ab" block naming the base build
-and the pair count. Rows are matched by every string field they carry
-(scenario, payload, mode); a row without a metric is skipped for it.
+writing its usual JSON (a "runs" list of rows). Each binary runs from
+the root of its own checkout (the git work tree holding it), so a
+provenance block names the commit it was built from. The output is the
+change's last JSON with, on every row, a "pairs" block holding, for each
+numeric field the row carries on both sides, the median and quartiles of
+that field over the change's runs and over the base's runs; and an "ab"
+block naming the base build and the pair count. Rows are matched by
+every string field they carry (scenario, payload, mode).
 """
 
 import argparse
@@ -47,6 +47,10 @@ def row_key(row):
     return tuple(sorted((k, v) for k, v in row.items() if isinstance(v, str)))
 
 
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def spread(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -59,15 +63,11 @@ def main():
     parser.add_argument("--base-label", default="",
                         help="names the base build when its bench writes "
                              "no provenance, e.g. its git sha")
-    parser.add_argument("--metrics", default="tuples_per_sec",
-                        help="comma-separated numeric row fields to "
-                             "summarize")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--out", required=True)
     parser.add_argument("bench_args", nargs="*")
     opts = parser.parse_args()
 
-    metrics = opts.metrics.split(",")
     values = {"base": {}, "change": {}}
     base_doc = change_doc = None
     with tempfile.TemporaryDirectory() as tmp:
@@ -78,11 +78,10 @@ def main():
             for side, binary in order if i % 2 == 0 else order[::-1]:
                 doc = run(binary, opts.bench_args, Path(tmp) / f"{side}.json")
                 for row in doc["runs"]:
-                    for metric in metrics:
-                        if metric in row:
+                    for metric, value in row.items():
+                        if is_number(value):
                             values[side].setdefault(
-                                (row_key(row), metric), []).append(
-                                    row[metric])
+                                (row_key(row), metric), []).append(value)
                 if side == "base":
                     base_doc = doc
                 else:
@@ -91,17 +90,14 @@ def main():
 
     for row in change_doc["runs"]:
         summaries = {}
-        for metric in metrics:
+        for metric, value in row.items():
             key = (row_key(row), metric)
-            if all(key in values[side] for side in ("change", "base")):
+            if is_number(value) and key in values["base"]:
                 summaries[metric] = {side: spread(values[side][key])
                                      for side in ("change", "base")}
-        # One metric keeps the original layout: {"change": ..., "base": ...}.
-        row["pairs"] = (summaries.get(metrics[0], {}) if len(metrics) == 1
-                        else summaries)
+        row["pairs"] = summaries
     change_doc["ab"] = {
         "pairs": opts.pairs,
-        "metric": ",".join(metrics),
         "base_provenance": base_doc.get("provenance", opts.base_label),
     }
     Path(opts.out).write_text(json.dumps(change_doc, indent=1) + "\n")

@@ -23,8 +23,9 @@
 // (per-tuple) the engine's measured pause->restore->replay->resume latency
 // plus replay accounting. Results go to stdout and BENCH_recovery.json
 // (override with --out <path>) together with their provenance: git sha,
-// core count, compiler and build type. Its "runs" rows (tuples/s per axis
-// and interval) are what bench/ab_pairs.py compares across builds.
+// core count, compiler and build type. It writes one "runs" row per axis
+// and interval (seconds with min/max, tuples/s, overhead), the layout
+// bench/ab_pairs.py compares across builds.
 
 #include <algorithm>
 #include <array>
@@ -190,10 +191,11 @@ Summary Summarize(const std::vector<double>& xs) {
           *std::max_element(xs.begin(), xs.end())};
 }
 
-std::string JsonSummary(const Summary& s) {
-  return "{\"median\": " + std::to_string(s.median) +
-         ", \"min\": " + std::to_string(s.min) +
-         ", \"max\": " + std::to_string(s.max) + "}";
+/// The seconds summary as row fields: the median, then its range.
+std::string JsonSeconds(const Summary& s) {
+  return "\"seconds\": " + std::to_string(s.median) +
+         ", \"seconds_min\": " + std::to_string(s.min) +
+         ", \"seconds_max\": " + std::to_string(s.max);
 }
 
 }  // namespace
@@ -275,37 +277,21 @@ int main(int argc, char** argv) {
       << "  \"provenance\": " << bench::ProvenanceJson() << ",\n"
       << "  \"feed_per_source\": " << kFeedPerSource << ",\n"
       << "  \"reps\": " << kReps << ",\n"
-      << "  \"axes\": [\n";
-  for (size_t a = 0; a < kAxes.size(); ++a) {
-    const AxisResult& r = results[a];
-    out << "    {\"axis\": \"" << kAxes[a].name
-        << "\", \"emit_batch_size\": " << kAxes[a].emit_batch_size
-        << ", \"columnar\": " << (kAxes[a].columnar ? "true" : "false")
-        << ",\n     \"checkpoint_off_seconds\": " << JsonSummary(r.off)
-        << ",\n     \"checkpoint_on\": [\n";
-    for (size_t k = 0; k < intervals.size(); ++k) {
-      out << "       {\"epoch_interval\": " << intervals[k]
-          << ", \"seconds\": " << JsonSummary(r.on[k])
-          << ", \"overhead_pct\": " << r.overhead_pct[k]
-          << ", \"epochs_committed\": " << r.epochs_committed[k] << "}"
-          << (k + 1 < intervals.size() ? "," : "") << "\n";
-    }
-    out << "     ]}" << (a + 1 < kAxes.size() ? "," : "") << "\n";
-  }
-  // The same medians as flat rows, the layout bench/ab_pairs.py compares
-  // across two builds.
-  out << "  ],\n"
       << "  \"runs\": [\n";
+  // One flat row per axis and variant: what bench/ab_pairs.py compares
+  // across two builds (rows match by their string fields).
   for (size_t a = 0; a < kAxes.size(); ++a) {
     const AxisResult& r = results[a];
     out << "    {\"axis\": \"" << kAxes[a].name
-        << "\", \"variant\": \"checkpoint_off\", \"tuples_per_sec\": "
-        << tuples / r.off.median << "},\n";
+        << "\", \"variant\": \"checkpoint_off\", " << JsonSeconds(r.off)
+        << ", \"tuples_per_sec\": " << tuples / r.off.median << "},\n";
     for (size_t k = 0; k < intervals.size(); ++k) {
       out << "    {\"axis\": \"" << kAxes[a].name
-          << "\", \"variant\": \"checkpoint_on_" << intervals[k]
-          << "\", \"tuples_per_sec\": " << tuples / r.on[k].median
-          << ", \"overhead_pct\": " << r.overhead_pct[k] << "}"
+          << "\", \"variant\": \"checkpoint_on_" << intervals[k] << "\", "
+          << JsonSeconds(r.on[k])
+          << ", \"tuples_per_sec\": " << tuples / r.on[k].median
+          << ", \"overhead_pct\": " << r.overhead_pct[k]
+          << ", \"epochs_committed\": " << r.epochs_committed[k] << "}"
           << (a + 1 < kAxes.size() || k + 1 < intervals.size() ? "," : "")
           << "\n";
     }

@@ -418,11 +418,14 @@ bool StreamEngine::AllPartitionsDone() const {
 
 StreamEngine::WaitOutcome StreamEngine::WaitOnce(const TimePoint* deadline) {
   // Sliced sink waits so a mid-run operator failure ends the wait instead
-  // of hanging forever on a sink that will never close.
+  // of hanging forever on a sink that will never close. The slice bounds
+  // how long a failure goes unnoticed, and until recovery pauses the
+  // sources they push past every kBlock bound (a failed run releases the
+  // waits), so it is kept as short as the partition poll below.
   for (Sink* sink : sinks_) {
     while (true) {
       if (run_status_.failed()) return WaitOutcome::kFailed;
-      Duration slice = std::chrono::milliseconds(10);
+      Duration slice = std::chrono::milliseconds(1);
       if (deadline != nullptr) {
         const Duration remaining = *deadline - Now();
         if (remaining <= Duration::zero()) {

@@ -13,7 +13,11 @@
 // input's end-of-stream lifts its mark. An input running ahead therefore
 // cannot expire tuples the lagging input may still match: with each input
 // timestamp-ordered, every pair within the window joins, whatever the
-// schedule.
+// schedule. The price: while one input has delivered nothing, nothing
+// expires, so the other input's window grows until the silent input
+// delivers or closes — also after a restore with one side's window empty
+// (its mark restarts unknown), and on a shard replica whose keys appear on
+// one side only.
 
 #ifndef FLEXSTREAM_OPERATORS_SYMMETRIC_HASH_JOIN_H_
 #define FLEXSTREAM_OPERATORS_SYMMETRIC_HASH_JOIN_H_

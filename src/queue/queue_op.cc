@@ -135,52 +135,53 @@ size_t QueueOp::PushLocked(size_t n, bool arrivals,
   std::lock_guard<std::mutex> lock(mutex_);
   // The bound's decision is taken under the queue lock, so racing
   // producers cannot overshoot the budget between check and push.
+  size_t skip = 0;       // leading elements shed before they are appended
   size_t append = n;
-  size_t shed_oldest = 0;
+  size_t shed_head = 0;  // queued items dropped from the head
   if (bound.has_value()) {
     const size_t free = FreeSpace();
+    const size_t excess = n > free ? n - free : 0;
     if (*bound == OverloadPolicy::kShedOldest) {
-      // Everything enters; the excess leaves from the head below.
-      shed_oldest = n > free ? n - free : 0;
+      // The excess leaves from the head (a kShedOldest queue has no ring,
+      // so the deque head is the queue head): older items first, then this
+      // step's own first elements, which are never appended — exactly as
+      // one element at a time would. A punctuation at the head stops it:
+      // the rest overruns.
+      while (shed_head < excess && !items_.empty() &&
+             items_.front().tuple.is_data()) {
+        items_.pop_front();
+        ++shed_head;
+      }
+      if (items_.empty()) skip = excess - shed_head;
+      append = n - skip;
+      dropped_oldest_.fetch_add(static_cast<int64_t>(shed_head + skip),
+                                std::memory_order_relaxed);
     } else {
       // kBlock (a ring-less queue after its wait) and kShedNewest admit
       // what fits; kShedNewest drops the rest.
-      append = std::min(n, free);
-      if (append < n && *bound == OverloadPolicy::kShedNewest) {
-        dropped_newest_.fetch_add(static_cast<int64_t>(n - append),
+      append = n - excess;
+      if (excess > 0 && *bound == OverloadPolicy::kShedNewest) {
+        dropped_newest_.fetch_add(static_cast<int64_t>(excess),
                                   std::memory_order_relaxed);
       }
     }
   }
-  if (append > 0 && arrivals && StatsCollectionEnabled()) {
-    stats().RecordArrival(Now(), static_cast<int64_t>(append));
+  if (append + skip > 0 && arrivals && StatsCollectionEnabled()) {
+    stats().RecordArrival(Now(), static_cast<int64_t>(append + skip));
   }
   const size_t before = items_.size();
-  fill(g_arrival_seq.fetch_add(append, std::memory_order_relaxed), append);
+  fill(g_arrival_seq.fetch_add(append, std::memory_order_relaxed), skip,
+       append);
   const size_t pushed = items_.size() - before;
-  if (shed_oldest > 0) {
-    // Make room by dropping from the head (a kShedOldest queue has no
-    // ring, so the deque head is the queue head) — older items first, then
-    // this run's own — exactly as one element at a time would. A
-    // punctuation at the head stops it: the rest overruns. The queued
-    // count is pre-decremented to balance the caller's
-    // CountQueuedAndMaybeNotify.
-    size_t dropped = 0;
-    while (dropped < shed_oldest && !items_.empty() &&
-           items_.front().tuple.is_data()) {
-      items_.pop_front();
-      ++dropped;
-    }
-    dropped_oldest_.fetch_add(static_cast<int64_t>(dropped),
-                              std::memory_order_relaxed);
-    queued_items_.fetch_sub(dropped, std::memory_order_acq_rel);
-  }
   // Every writer of both counters holds mutex_: plain stores need no
   // read-modify-write.
   deque_size_.store(items_.size(), std::memory_order_release);
   locked_pushes_.store(locked_pushes_.load(std::memory_order_relaxed) + pushed,
                        std::memory_order_relaxed);
-  return pushed;
+  // The shed head items stay counted until the caller's count update
+  // nets them out, so the count never dips below what is queued: at least
+  // as many elements are appended as the head lost.
+  return pushed - shed_head;
 }
 
 void QueueOp::EnqueueColumnar(ColumnarBatchPtr batch) {
@@ -204,7 +205,7 @@ void QueueOp::EnqueueColumnar(ColumnarBatchPtr batch) {
   } else {
     // The box draws its n seqs and n arrivals but appends one item.
     PushLocked(n, /*arrivals=*/true, /*bound=*/std::nullopt,
-               [&](uint64_t seq, size_t) {
+               [&](uint64_t seq, size_t, size_t) {
                  item.seq = seq;
                  items_.push_back(std::move(item));
                });
@@ -251,9 +252,11 @@ void QueueOp::PushRun(Tuple* rows, size_t n, bool is_barrier) {
   if (chunk < n) {
     // Ring full or absent: the rest goes through one lock acquisition.
     PushLocked(n - chunk, /*arrivals=*/ring_ == nullptr && !is_barrier,
-               /*bound=*/std::nullopt, [&](uint64_t base, size_t count) {
+               /*bound=*/std::nullopt,
+               [&](uint64_t base, size_t first, size_t count) {
                  for (size_t i = 0; i < count; ++i) {
-                   items_.push_back({std::move(rows[chunk + i]), base + i});
+                   items_.push_back(
+                       {std::move(rows[chunk + first + i]), base + i});
                  }
                });
     CountQueuedAndMaybeNotify(n - chunk, /*is_eos=*/false);
@@ -283,6 +286,7 @@ void QueueOp::EnqueueRows(Tuple* rows, size_t n, bool is_barrier) {
       // timeout (overrun) — never by dropping data.
       bool overrun = false;
       go = WaitForSpace(go, &overrun);
+      if (go == 0) continue;  // the policy left kBlock: decide again
       // A single producer's granted space can only grow (only the
       // consumer changes the count), so the ring takes it unchecked; a
       // ring-less queue re-checks under the lock against racing producers.
@@ -293,17 +297,19 @@ void QueueOp::EnqueueRows(Tuple* rows, size_t n, bool is_barrier) {
       next += go;
       continue;
     }
-    const size_t admitted =
+    const size_t added =
         PushLocked(go, /*arrivals=*/true, policy,
-                   [&](uint64_t base, size_t count) {
+                   [&](uint64_t base, size_t first, size_t count) {
                      for (size_t i = 0; i < count; ++i) {
-                       items_.push_back({std::move(rows[next + i]), base + i});
+                       items_.push_back(
+                           {std::move(rows[next + first + i]), base + i});
                      }
                    });
-    if (admitted > 0) CountQueuedAndMaybeNotify(admitted, /*is_eos=*/false);
+    if (added > 0) CountQueuedAndMaybeNotify(added, /*is_eos=*/false);
     // Shedding settles every element of the step; kBlock only those
-    // admitted (the rest waits again).
-    next += policy == OverloadPolicy::kBlock ? admitted : go;
+    // admitted (it sheds nothing, so `added` is what it admitted), and the
+    // rest waits again.
+    next += policy == OverloadPolicy::kBlock ? added : go;
   }
 }
 
@@ -337,7 +343,7 @@ Status QueueOp::SetOverloadPolicyLive(OverloadPolicy policy) {
   overload_policy_.store(policy, std::memory_order_release);
   if (policy != OverloadPolicy::kBlock) {
     // Wake parked kBlock producers; their wait predicate re-checks the
-    // policy and they enqueue the in-flight element (bounded overrun).
+    // policy and their pending elements meet the new one.
     { std::lock_guard<std::mutex> lock(space_mutex_); }
     space_cv_.notify_all();
   }
@@ -390,15 +396,15 @@ size_t QueueOp::WaitForSpace(size_t want, bool* overrun) {
     space_waiters_.fetch_sub(1, std::memory_order_seq_cst);
   }
   if (yielder != nullptr) yielder->ReacquireSlot();
-  // An expired wait, or a policy flip away from kBlock, lets through the
-  // one element it held; the rest waits again or meets the new policy.
-  // Cancelled or failed, every element would pass its wait at once.
+  // An expired wait lets through the one element it held; the rest waits
+  // again. Cancelled or failed, every element would pass its wait at once.
+  // A policy flip away from kBlock admits nothing here: the caller decides
+  // the step again under the new policy.
   if (timed_out) return 1;
-  if (const size_t free = FreeSpace(); free > 0) {
-    *overrun = false;
-    return std::min(free, want);
-  }
-  if (overload_policy() != OverloadPolicy::kBlock) return 1;
+  *overrun = false;
+  if (const size_t free = FreeSpace(); free > 0) return std::min(free, want);
+  if (overload_policy() != OverloadPolicy::kBlock) return 0;
+  *overrun = true;
   return want;
 }
 
@@ -426,7 +432,7 @@ void QueueOp::EnqueueEos(const Tuple& tuple) {
   // appends nothing (its drawn seq is simply unused).
   const size_t pushed =
       PushLocked(1, /*arrivals=*/false, /*bound=*/std::nullopt,
-                 [&](uint64_t seq, size_t) {
+                 [&](uint64_t seq, size_t, size_t) {
         max_eos_timestamp_ = std::max(max_eos_timestamp_, tuple.timestamp());
         ++eos_received_;
         if (eos_received_ < fan_in() || eos_enqueued_) return;

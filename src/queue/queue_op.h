@@ -236,8 +236,8 @@ class QueueOp final : public Operator {
   /// only kBlock <-> kShedNewest are allowed live (kShedOldest drops the
   /// ring, which must not happen under running producers).
   /// Producers parked in a kBlock wait when the policy leaves kBlock are
-  /// woken and enqueue their element (a bounded overrun — in-flight
-  /// elements are never retroactively shed); subsequent enqueues shed.
+  /// woken, and the elements they held meet the new policy, as do
+  /// subsequent enqueues.
   /// Fails without effect on an unbounded queue or a kShedOldest target.
   Status SetOverloadPolicyLive(OverloadPolicy policy);
 
@@ -372,12 +372,13 @@ class QueueOp final : public Operator {
   /// Room left under the bound (0 when full or overrun).
   size_t FreeSpace() const;
   /// kBlock producer wait: how many of the next `want` elements may enter
-  /// now (>= 1). Parks while the queue is full, until space frees, the
-  /// timeout expires, the policy leaves kBlock, waits are cancelled, or
-  /// the run failed. Sets `*overrun` when the elements enter without
-  /// space: one for an expired wait or a policy flip, all `want` for a
-  /// self-drain bypass, a cancel or a failed run — what one wait per
-  /// element would let through.
+  /// now. Parks while the queue is full, until space frees, the timeout
+  /// expires, the policy leaves kBlock, waits are cancelled, or the run
+  /// failed. Sets `*overrun` when the elements enter without space: one
+  /// for an expired wait, all `want` for a self-drain bypass, a cancel or
+  /// a failed run — what one wait per element would let through. Returns
+  /// 0 when the policy left kBlock and there is still no space: the caller
+  /// decides the step again under the new policy.
   size_t WaitForSpace(size_t want, bool* overrun);
   /// Wakes kBlock producers after a drain freed space (satellite: the
   /// consumer-side space_available notification). Cheap when nobody
@@ -385,13 +386,16 @@ class QueueOp final : public Operator {
   void NotifySpaceFreed();
   /// The one locked push, shared by ring-full spill, ring-less enqueue,
   /// the shed policies, boxes and EOS. Under mutex_ it takes the bound's
-  /// decision over `n` elements (under a `bound` policy): kBlock and kShedNewest
-  /// admit what fits (kShedNewest counts the rest dropped), kShedOldest
-  /// admits all and drops the excess from the head. It records the
-  /// admitted count as arrivals (when `arrivals`), draws that many arrival
-  /// numbers — under the lock, so racing producers keep the deque
-  /// sequence-ordered — and calls `fill(first_seq, admitted)` to append
-  /// the items. Returns the number of items appended.
+  /// decision over `n` elements (under a `bound` policy): kBlock and
+  /// kShedNewest admit what fits (kShedNewest counts the rest dropped);
+  /// kShedOldest drops the excess from the head, older items first, and
+  /// skips the leading elements of this step that would be dropped next.
+  /// It records the arrivals (when `arrivals`), draws one arrival number
+  /// per appended element — under the lock, so racing producers keep the
+  /// deque sequence-ordered — and calls `fill(first_seq, skip, count)` to
+  /// append elements [skip, skip + count). Returns the queue's net growth
+  /// (appended minus shed from the head, never negative), which the caller
+  /// passes to CountQueuedAndMaybeNotify.
   template <typename Fill>
   size_t PushLocked(size_t n, bool arrivals,
                     std::optional<OverloadPolicy> bound, Fill&& fill);

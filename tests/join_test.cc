@@ -119,6 +119,32 @@ TEST(ShjTest, WindowExpiresOldTuples) {
   EXPECT_LE(join->StateSize(), 3u);
 }
 
+// Expiry by the slower input: while the right input is silent, it may
+// still deliver a tuple as old as the left's first, so the left window
+// keeps everything; once the right input speaks, expiry follows its mark,
+// and once it closes, expiry follows the arriving tuple alone.
+TEST(ShjTest, SilentInputHoldsTheOtherWindow) {
+  JoinRig rig;
+  SymmetricHashJoin* join = rig.Wire<SymmetricHashJoin>("j", 100);
+  for (int i = 0; i < 50; ++i) rig.left->Push(Tuple::OfInt(7, i * 10));
+  EXPECT_EQ(join->StateSize(), 50u) << "a silent input expires nothing";
+
+  // The late right tuple at 0 finds its whole band: left 0, 10, ..., 100.
+  rig.right->Push(Tuple::OfInt(7, 0));
+  EXPECT_EQ(rig.sink->TakeResults().size(), 11u);
+  rig.left->Push(Tuple::OfInt(8, 500));
+  EXPECT_EQ(join->StateSize(), 52u) << "the right mark (0) holds the left";
+  rig.right->Push(Tuple::OfInt(8, 400));
+  EXPECT_EQ(rig.sink->TakeResults().size(), 1u);
+  // Expired now: left and right below min(400, 500) - 100 = 300.
+  EXPECT_EQ(join->StateSize(), 22u);
+
+  rig.right->Close(400);
+  rig.left->Push(Tuple::OfInt(9, 600));
+  // Left keeps 500 and 600; the right input is closed and its 400 expired.
+  EXPECT_EQ(join->StateSize(), 2u);
+}
+
 TEST(ShjTest, StateSizeTracksStoredTuples) {
   JoinRig rig;
   SymmetricHashJoin* join = rig.Wire<SymmetricHashJoin>("j", 1000);

@@ -233,6 +233,56 @@ TEST_P(BoundedBatchTest, ShedOldestKeepsTheNewestOfTheBatch) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(results[i].IntAt(0), 12 + i);
 }
 
+// A batch bigger than the whole bound into an empty kShedOldest queue: its
+// own first elements are shed without ever being counted, so the count
+// goes 0 -> 8 in one step and the consumer is woken exactly once.
+TEST_P(BoundedBatchTest, ShedOldestIntoAnEmptyQueueWakesOnce) {
+  QueueRig rig;
+  rig.queue->SetBound(8, OverloadPolicy::kShedOldest);
+  int wakeups = 0;
+  rig.queue->SetEnqueueListener([&wakeups] { ++wakeups; });
+
+  Deliver(rig.queue, 20);
+  EXPECT_EQ(wakeups, 1);
+  EXPECT_EQ(rig.queue->Size(), 8u);
+  EXPECT_EQ(rig.queue->PeakSize(), 8u);
+  EXPECT_EQ(rig.queue->dropped_oldest(), 12);
+  EXPECT_EQ(rig.queue->dropped_newest(), 0);
+
+  DrainUntil(&rig, 8);
+  const std::vector<Tuple> results = rig.sink->Results();
+  ASSERT_EQ(results.size(), 8u);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(results[i].IntAt(0), 12 + i);
+}
+
+// A live flip to kShedNewest while a producer is parked on the full queue:
+// the elements it held meet the new policy and are shed, so the bound
+// holds and every missing element is counted.
+TEST_P(BoundedBatchTest, PolicyFlipShedsWhatTheParkedProducerHeld) {
+  QueueRig rig;
+  rig.queue->SetSingleProducer(true);
+  rig.queue->SetBound(8, OverloadPolicy::kBlock, std::chrono::seconds(30));
+
+  std::thread producer([&] { Deliver(rig.queue, 20); });
+  const TimePoint park_deadline = Now() + std::chrono::seconds(10);
+  while (rig.queue->block_waits() == 0 && Now() < park_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(rig.queue->block_waits(), 1);
+  ASSERT_TRUE(rig.queue->SetOverloadPolicyLive(OverloadPolicy::kShedNewest)
+                  .ok());
+  producer.join();
+
+  EXPECT_EQ(rig.queue->Size(), 8u);
+  EXPECT_EQ(rig.queue->PeakSize(), 8u);
+  EXPECT_EQ(rig.queue->dropped_newest(), 12);
+  EXPECT_EQ(rig.queue->block_timeouts(), 0);
+  DrainUntil(&rig, 8);
+  const std::vector<Tuple> results = rig.sink->Results();
+  ASSERT_EQ(results.size(), 8u);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(results[i].IntAt(0), i);
+}
+
 TEST_P(BoundedBatchTest, BlockAdmitsFreeAndParksForTheRest) {
   QueueRig rig;
   rig.queue->SetSingleProducer(true);
