@@ -114,6 +114,11 @@ TEST(QueueSpscStressTest, SpilledBatchesNeverStrandTheConsumer) {
   ASSERT_TRUE(g.Connect(q, sink).ok());
   q->SetSingleProducer(true);
   q->SetBatchDelivery(true);
+  // The linger clock never advances: a slow fill (a loaded host, TSan)
+  // must not flush part of a batch early, or the check below would wait
+  // for elements still pending in the source.
+  VirtualClock linger_clock;
+  src->SetLingerClock(&linger_clock);
   src->SetEmitBatchSize(24);  // every batch overflows the 16-slot ring
 
   Partition::Options options;
